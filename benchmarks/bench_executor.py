@@ -1,7 +1,7 @@
 """E12 — execution-layer throughput microbenchmarks.
 
 Not a paper artifact: these time ``run_batch`` over a small scenario
-grid through the serial and process-pool executors, so the speedup of
+grid through the serial and supervised executors, so the speedup of
 the parallel execution layer (and any regression in its dispatch
 overhead) shows up in the perf trajectory.  On a multi-core machine the
 2-worker pool should approach 2x the serial throughput once the pool is
@@ -9,7 +9,7 @@ warm; on a single core it measures the dispatch overhead floor.
 """
 
 from repro.core.scenario import NetworkConfig
-from repro.exec import ProcessPoolExecutor, SerialExecutor, SimTask
+from repro.exec import SerialExecutor, SimTask, SupervisedExecutor
 
 from conftest import banner
 
@@ -47,7 +47,7 @@ def test_run_batch_pool_two_workers(benchmark):
     banner("executor throughput — 2-worker pool",
            "approaches 2x serial on >=2 free cores")
     tasks = _grid()
-    with ProcessPoolExecutor(jobs=2) as pool:
+    with SupervisedExecutor(jobs=2) as pool:
         pool.run_batch(tasks[:1])      # warm the workers outside timing
 
         results = benchmark.pedantic(

@@ -29,8 +29,7 @@ from .core import (NetworkConfig, Objective, ScenarioRange,
                    normalized_objective, omniscient_for_config,
                    proportional_fair_allocation)
 from .core.results import EllipsePoint, FlowStats, RunResult
-from .exec import (CachingExecutor, Executor, ProcessPoolExecutor,
-                   SerialExecutor, SimTask, executor_for, run_batch)
+from .exec import Executor, SerialExecutor, SimTask, executor_for, run_batch
 from .experiments import (DEFAULT, FULL, QUICK, Scale, build_simulation,
                           run_config, run_seeds)
 from .protocols import (AimdController, CubicController,

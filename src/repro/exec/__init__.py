@@ -9,10 +9,10 @@ batch-execution layer:
   descriptions of one run and its output, with a stable fingerprint
   exposed as the universal :func:`cache_key`.
 * :class:`Executor` and its implementations (:class:`SerialExecutor`,
-  :class:`ProcessPoolExecutor` with cost-packed chunks,
-  :class:`SupervisedExecutor` adding retry/timeout/quarantine fault
-  tolerance under a :class:`RetryPolicy`, :class:`CachingExecutor` in
-  memory, :class:`StoreExecutor` on disk).
+  :class:`SupervisedExecutor` — cost-packed chunks over supervised
+  worker processes with retry/timeout/quarantine fault tolerance under
+  a :class:`RetryPolicy` — and :class:`StoreExecutor`, a disk-backed
+  result cache over either).
 * :class:`RemoteExecutor` / :class:`WorkerServer` — multi-host
   dispatch over TCP (``scripts/worker.py`` daemons) under the same
   :class:`RetryPolicy` failure contract, with lease-based ownership,
@@ -31,9 +31,8 @@ bitwise-identical), and the on-disk store format.
 """
 
 from .batch import executor_for, run_batch
-from .executors import (CachingExecutor, Executor, ProcessPoolExecutor,
-                        SerialExecutor, default_jobs, pack_chunks,
-                        task_cost)
+from .executors import (Executor, SerialExecutor, default_jobs,
+                        pack_chunks, task_cost)
 from .remote import (RemoteExecutor, RemoteStats, WorkerServer,
                      add_workers_argument, parse_workers, serve_worker,
                      workers_from_args)
@@ -48,8 +47,7 @@ from .task import (BACKENDS, SimTask, SimTaskResult, TaskFailure,
 __all__ = [
     "SimTask", "SimTaskResult", "TaskFailure", "run_sim_task",
     "run_task_group", "cache_key", "BACKENDS",
-    "Executor", "SerialExecutor", "ProcessPoolExecutor",
-    "CachingExecutor", "StoreExecutor", "SupervisedExecutor",
+    "Executor", "SerialExecutor", "StoreExecutor", "SupervisedExecutor",
     "RemoteExecutor", "RemoteStats", "WorkerServer", "serve_worker",
     "parse_workers", "add_workers_argument", "workers_from_args",
     "default_jobs", "pack_chunks", "task_cost",

@@ -20,15 +20,18 @@ Four strategies ship today:
 
 * :class:`SerialExecutor` — run in-process, in order.  The reference
   implementation the others must match.
-* :class:`ProcessPoolExecutor` — cost-packed chunk fan-out over a
-  lazily-created, reusable ``multiprocessing.Pool``.
-* :class:`CachingExecutor` — an in-memory wrapper keyed by
-  :func:`~repro.exec.task.cache_key`; hits skip execution entirely.
-* :class:`~repro.exec.store.StoreExecutor` — the disk-backed analogue
-  (in :mod:`repro.exec.store`), sharing the same cache key.
+* :class:`~repro.exec.supervise.SupervisedExecutor` — cost-packed chunk
+  fan-out over supervised local worker processes, with retries,
+  timeouts, and quarantine (:mod:`repro.exec.supervise`).
+* :class:`~repro.exec.remote.RemoteExecutor` — the same failure
+  contract over TCP to worker daemons on other hosts
+  (:mod:`repro.exec.remote`).
+* :class:`~repro.exec.store.StoreExecutor` — a disk-backed result cache
+  wrapping any of the above, keyed by
+  :func:`~repro.exec.task.cache_key` (:mod:`repro.exec.store`).
 
-Future backends (multi-host dispatch) plug in by subclassing
-:class:`Executor`; callers only ever see ``run_batch``/``run_iter``.
+New backends plug in by subclassing :class:`Executor`; callers only
+ever see ``run_batch``/``run_iter``.
 """
 
 from __future__ import annotations
@@ -36,15 +39,13 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.scale import PACKET_BYTES
-from .task import (SimTask, SimTaskResult, cache_key, run_sim_task,
-                   run_task_group)
+from .task import SimTask, SimTaskResult, run_sim_task, run_task_group
 
-__all__ = ["Executor", "SerialExecutor", "ProcessPoolExecutor",
-           "CachingExecutor", "default_jobs", "pack_chunks", "task_cost"]
+__all__ = ["Executor", "SerialExecutor", "chunk_tasks", "default_jobs",
+           "pack_chunks", "task_cost"]
 
 #: ``progress(done, total)`` — called after each task completes.
 ProgressFn = Callable[[int, int], None]
@@ -75,7 +76,7 @@ def task_cost(task: SimTask) -> float:
     The dominant cost of a pure-Python simulation is the number of
     packet events, which is known *before* running: the task's duration
     (already set via ``Scale.duration_for``) times the bottleneck packet
-    rate.  Used to pack pool chunks by cost instead of count, so one
+    rate.  Used to pack dispatch chunks by cost instead of count, so one
     1000 Mbps run doesn't straggle behind a chunk of 1 Mbps runs.
     """
     speeds = (1.0,)
@@ -114,17 +115,24 @@ def pack_chunks(costs: Sequence[float], n_chunks: int) -> List[List[int]]:
     return [sorted(chunk) for chunk in chunks if chunk]
 
 
-def _run_chunk(payload: Tuple[List[int], List[SimTask]]
-               ) -> Tuple[List[int], List[SimTaskResult]]:
-    """Worker-side: run one packed chunk (module-level for pickling).
+def chunk_tasks(tasks: Sequence[SimTask], jobs: int,
+                chunk_size: Optional[int] = None) -> List[List[int]]:
+    """The dispatch layout of one batch over ``jobs`` workers.
 
-    Routed through :func:`run_task_group` so a chunk of fluid tasks
-    that differ only by seed collapses into one vectorized call; for
-    packet tasks the group runner degenerates to per-task
-    :func:`run_sim_task`, and fluid batch-invariance keeps the results
-    bitwise-independent of the chunking."""
-    indices, tasks = payload
-    return indices, run_task_group(tasks)
+    By default tasks are *cost-packed* (:func:`pack_chunks` over
+    :func:`task_cost`) into ~4 chunks per worker, balanced by expected
+    cost rather than count — a heterogeneous sweep (or the cache-miss
+    remainder of a resumed one) can't degenerate into one straggler
+    chunk holding all the expensive runs.  An explicit ``chunk_size``
+    opts into contiguous count-based chunks instead (a test seam for
+    pinning exact chunk boundaries).
+    """
+    if chunk_size is not None:
+        size = max(chunk_size, 1)
+        return [list(range(lo, min(lo + size, len(tasks))))
+                for lo in range(0, len(tasks), size)]
+    n_chunks = min(len(tasks), jobs * 4)
+    return pack_chunks([task_cost(task) for task in tasks], n_chunks)
 
 
 class Executor:
@@ -205,149 +213,3 @@ class SerialExecutor(Executor):
                   progress: Optional[ProgressFn] = None
                   ) -> List[SimTaskResult]:
         return self._collect(tasks, progress)
-
-
-class ProcessPoolExecutor(Executor):
-    """Fan tasks out over a ``multiprocessing.Pool``.
-
-    The pool is created lazily on the first batch and reused across
-    batches (worker start-up is the dominant fixed cost), so one
-    executor can serve a whole training run or experiment sweep.
-
-    Dispatch is chunked.  By default chunks are *cost-packed*: per-task
-    costs are known up front (simulated duration x bottleneck packet
-    rate, see :func:`task_cost`), so tasks are packed into ~4 chunks per
-    worker balanced by expected cost rather than count — a heterogeneous
-    sweep (or the cache-miss remainder of a resumed one) can't
-    degenerate into one straggler chunk holding all the expensive runs.
-    An explicit ``chunk_size`` opts back into contiguous count-based
-    chunks.  Results come back in task order regardless of completion
-    order.
-    """
-
-    def __init__(self, jobs: Optional[int] = None,
-                 chunk_size: Optional[int] = None):
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs or default_jobs()
-        self.chunk_size = chunk_size
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = multiprocessing.Pool(self.jobs)
-        return self._pool
-
-    def _chunks_for(self, tasks: List[SimTask]) -> List[List[int]]:
-        if self.chunk_size is not None:
-            size = max(self.chunk_size, 1)
-            return [list(range(lo, min(lo + size, len(tasks))))
-                    for lo in range(0, len(tasks), size)]
-        n_chunks = min(len(tasks), self.jobs * 4)
-        return pack_chunks([task_cost(task) for task in tasks], n_chunks)
-
-    def run_iter(self, tasks: Sequence[SimTask]
-                 ) -> Iterator[Tuple[int, SimTaskResult]]:
-        tasks = list(tasks)
-        if not tasks:
-            return
-        pool = self._ensure_pool()
-        payloads = [(chunk, [tasks[i] for i in chunk])
-                    for chunk in self._chunks_for(tasks)]
-        # imap_unordered: completed chunks stream back immediately, so
-        # consumers (progress, the disk store) see results as they
-        # exist; _collect reorders to task order at the end.
-        try:
-            for indices, results in pool.imap_unordered(_run_chunk,
-                                                        payloads):
-                yield from zip(indices, results)
-        except GeneratorExit:
-            # Consumer stopped early: the pool is healthy, keep it warm
-            # for the next batch (remaining chunks finish and are
-            # discarded, matching the old semantics).
-            raise
-        except BaseException:
-            # A worker exception (or a worker killed mid-chunk) can
-            # leave the pool broken or wedged; recycle it so the next
-            # run_batch on this executor gets a fresh pool instead of
-            # hanging on a dead one.
-            self.close()
-            raise
-
-    def run_batch(self, tasks: Sequence[SimTask],
-                  progress: Optional[ProgressFn] = None
-                  ) -> List[SimTaskResult]:
-        return self._collect(tasks, progress)
-
-    def close(self) -> None:
-        # Detach before tearing down: if a ^C lands inside terminate()
-        # or join(), the executor is already consistent (no dangling
-        # half-closed pool) and a repeated close() is a clean no-op —
-        # the interrupt itself propagates unmasked.
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-
-
-class CachingExecutor(Executor):
-    """Memoize an inner executor in memory, keyed by
-    :func:`~repro.exec.task.cache_key`.
-
-    Because the key covers *every* field of the task (config, trees,
-    seed, duration, flags), a hit is guaranteed to be the result the
-    inner executor would have produced — there is no way to get a stale
-    answer by changing evaluation settings, which is exactly the bug the
-    old tree-keyed score cache had.  Duplicate tasks within one batch
-    execute once.  The disk-backed analogue is
-    :class:`repro.exec.store.StoreExecutor`; both file results under the
-    same key, so memory and disk caches can never diverge.
-    """
-
-    def __init__(self, inner: Optional[Executor] = None):
-        self.inner = inner or SerialExecutor()
-        self._cache: Dict[str, SimTaskResult] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def run_batch(self, tasks: Sequence[SimTask],
-                  progress: Optional[ProgressFn] = None
-                  ) -> List[SimTaskResult]:
-        tasks = list(tasks)
-        keys = [cache_key(task) for task in tasks]
-        pending: List[SimTask] = []
-        pending_keys: List[str] = []
-        seen = set()
-        for task, key in zip(tasks, keys):
-            if key in self._cache:
-                self.hits += 1
-            elif key not in seen:
-                seen.add(key)
-                pending.append(task)
-                pending_keys.append(key)
-        # Progress is reported over the *submitted* batch: cached (and
-        # duplicate) tasks count as already done, and a fully-cached
-        # batch still fires one final progress(n, n).
-        done_offset = len(tasks) - len(pending)
-        if pending:
-            self.misses += len(pending)
-            inner_progress = None
-            if progress is not None:
-                inner_progress = lambda done, _total: progress(
-                    done_offset + done, len(tasks))
-            fresh = self.inner.run_batch(pending,
-                                         progress=inner_progress)
-            for key, result in zip(pending_keys, fresh):
-                self._cache[key] = result
-        elif progress is not None and tasks:
-            progress(len(tasks), len(tasks))
-        return [self._cache[key] for key in keys]
-
-    def close(self) -> None:
-        self.inner.close()

@@ -4,7 +4,9 @@
 :class:`~repro.exec.supervise.SupervisedExecutor`: the same cost-packed
 chunking, the same :class:`~repro.exec.supervise.RetryPolicy`, the same
 per-task acks-as-heartbeats, bisection on lost assignments, and
-quarantine semantics — but the "workers" are
+quarantine semantics — one shared dispatch core
+(:class:`~repro.exec.supervise._Dispatch`) decides all of them for both
+executors — but the "workers" are
 :class:`WorkerServer` daemons (``scripts/worker.py``) reached over
 length-prefixed, CRC-checked frames instead of forked processes reached
 over pipes.  Tasks are already plain-data, fingerprinted payloads
@@ -55,8 +57,7 @@ trust, exactly like any other pickle-based RPC
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import heapq
+import itertools
 import pickle
 import select
 import socket
@@ -73,10 +74,10 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Set, Tuple, Union)
 
 from . import faults
-from .executors import ProcessPoolExecutor
+from .executors import Executor, ProgressFn, chunk_tasks
 from .supervise import (RetryPolicy, SupervisedExecutor, _Assignment,
-                        _units)
-from .task import (SimTask, SimTaskResult, TaskFailure, cache_key,
+                        _Dispatch, _Lease)
+from .task import (SimTask, SimTaskResult, cache_key, group_tasks,
                    run_task_group)
 
 __all__ = ["FrameError", "RemoteExecutor", "RemoteStats", "WorkerServer",
@@ -334,7 +335,7 @@ class WorkerServer:
         worker's (:func:`repro.exec.supervise._worker_main`)."""
         injector = self._active_injector()
         keys = [cache_key(task) for task in tasks]
-        for unit in _units(tasks):
+        for unit in group_tasks(tasks):
             cached = [self._cache_get(cache, keys[j]) for j in unit]
             if all(result is not None for result in cached):
                 # Session replay: the task already ran here (its result
@@ -444,25 +445,6 @@ class _Conn:
         return f"{self.addr[0]}:{self.addr[1]}"
 
 
-class _Lease:
-    """Client-side state for one in-flight remote assignment.
-
-    The remote analogue of :class:`repro.exec.supervise._Running`: the
-    deadline is the lease, per-task result messages are the heartbeats
-    that extend it.
-    """
-
-    __slots__ = ("assignment", "unacked", "budget", "deadline", "done")
-
-    def __init__(self, assignment: _Assignment, budget: float,
-                 deadline: float):
-        self.assignment = assignment
-        self.unacked: Set[int] = set(assignment.positions)
-        self.budget = budget
-        self.deadline = deadline
-        self.done = False
-
-
 def parse_workers(spec: Union[str, Sequence]) -> List[Tuple[str, int]]:
     """``"host:port,host:port"`` (or a sequence of strings / (host,
     port) pairs) -> a list of addresses.  Listing an address twice opens
@@ -476,28 +458,35 @@ def parse_workers(spec: Union[str, Sequence]) -> List[Tuple[str, int]]:
     addrs: List[Tuple[str, int]] = []
     for part in parts:
         if isinstance(part, (tuple, list)) and len(part) == 2:
-            addrs.append((str(part[0]), int(part[1])))
-            continue
-        host, sep, port = str(part).rpartition(":")
-        try:
-            addrs.append((host, int(port)))
-        except ValueError:
-            sep = ""
-        if not sep or not host:
-            raise ValueError(
-                f"worker address must be HOST:PORT, got {part!r}")
+            host, port = str(part[0]), int(part[1])
+        else:
+            host, sep, text = str(part).rpartition(":")
+            try:
+                port = int(text)
+            except ValueError:
+                sep = ""
+            if not sep or not host:
+                raise ValueError(
+                    f"worker address must be HOST:PORT, got {part!r}")
+        # getaddrinfo would wrap 70000 to 4464 and dial the wrong
+        # daemon, or reject -1 only after the reconnect backoffs.
+        if not 1 <= port <= 65535:
+            raise ValueError(f"worker port must be in 1-65535, got "
+                             f"{port} in {part!r}")
+        addrs.append((host, port))
     return addrs
 
 
-class RemoteExecutor(ProcessPoolExecutor):
-    """Fan tasks out to remote worker daemons under the PR-8 contract.
+class RemoteExecutor(Executor):
+    """Fan tasks out to remote worker daemons.
 
-    A :class:`~repro.exec.executors.ProcessPoolExecutor` subclass (so
-    existing ``isinstance`` dispatch keeps working) whose "pool" is a
-    set of TCP connections to :class:`WorkerServer` daemons.  See the
-    module docstring for the failure semantics; ``policy`` is the same
-    :class:`~repro.exec.supervise.RetryPolicy` the local supervised
-    executor takes.
+    The "pool" is a set of TCP connections to :class:`WorkerServer`
+    daemons.  This class is only the transport — sockets, sessions,
+    reconnect with backoff, work stealing, and local fallback; the
+    failure contract (see the module docstring) is the same
+    :class:`~repro.exec.supervise._Dispatch` core the local supervised
+    executor runs, under the same
+    :class:`~repro.exec.supervise.RetryPolicy`.
 
     ``fallback_jobs`` sizes the local
     :class:`~repro.exec.supervise.SupervisedExecutor` used when zero
@@ -519,8 +508,9 @@ class RemoteExecutor(ProcessPoolExecutor):
         if not addrs:
             raise ValueError("RemoteExecutor needs at least one worker "
                              "address (HOST:PORT)")
-        super().__init__(jobs=len(addrs), chunk_size=chunk_size)
         self.addrs = addrs
+        self.jobs = len(addrs)
+        self.chunk_size = chunk_size
         self.policy = policy if policy is not None else RetryPolicy()
         self.stats = RemoteStats()
         self.fallback_jobs = fallback_jobs
@@ -531,7 +521,12 @@ class RemoteExecutor(ProcessPoolExecutor):
         self.steal = steal
         self._conns: List[_Conn] = []
         self._fallback: Optional[SupervisedExecutor] = None
-        self._next_aid = 0
+        self._aids = itertools.count(1)
+
+    def run_batch(self, tasks: Sequence[SimTask],
+                  progress: Optional[ProgressFn] = None
+                  ) -> List[SimTaskResult]:
+        return self._collect(tasks, progress)
 
     # -- connection lifecycle ---------------------------------------------
 
@@ -632,13 +627,11 @@ class RemoteExecutor(ProcessPoolExecutor):
         tasks = list(tasks)
         if not tasks:
             return
-        from .supervise import TaskFailedError
-        policy = self.policy
         conns = self._ensure_conns()
         for conn in conns:
             # Stale state from an abandoned batch: drop the lease, keep
             # the socket warm.  Late frames carry old assignment ids
-            # and are discarded by the aid check below.
+            # and are discarded by the dispatch core's aid check.
             conn.running = None
             if conn.state == "busy":
                 conn.state = "idle"
@@ -649,140 +642,17 @@ class RemoteExecutor(ProcessPoolExecutor):
                                        "no reachable workers")
             return
 
-        timeouts = [policy.timeout_for(task) for task in tasks]
-        pending: Set[int] = set(range(len(tasks)))
-        attempts: Dict[int, int] = {}
-        resubmits: Dict[int, int] = {}
+        core = _Dispatch(tasks, chunk_tasks(tasks, self.jobs,
+                                            self.chunk_size),
+                         self.policy, self.stats, self._aids)
         speculated: Set[int] = set()
-        ready: List[Tuple[float, int, _Assignment]] = []
-        emitted: List[Tuple[int, SimTaskResult]] = []
-        fatal: List[Tuple[str, TaskFailure]] = []
-
-        def enqueue(positions: List[int], attempt: int,
-                    ready_at: float) -> None:
-            self._next_aid += 1
-            assignment = _Assignment(self._next_aid, list(positions),
-                                     attempt)
-            heapq.heappush(ready, (ready_at, assignment.aid, assignment))
-
-        def finalize(pos: int, failure: TaskFailure) -> None:
-            if pos not in pending:
-                return
-            pending.discard(pos)
-            failure = dataclasses.replace(
-                failure, resubmissions=resubmits.get(pos, 0))
-            if policy.on_failure == "quarantine":
-                self.stats.quarantined += 1
-                emitted.append((pos, SimTaskResult(failure=failure)))
-            else:
-                fatal.append((cache_key(tasks[pos]), failure))
-
-        def on_message(conn: _Conn, msg) -> None:
-            lease = conn.running
-            if not isinstance(msg, tuple) or len(msg) < 2:
-                return
-            kind, aid = msg[0], msg[1]
-            if lease is None or aid != lease.assignment.aid:
-                return                # stale: abandoned assignment
-            if kind == "done":
-                lease.done = True
-                return
-            if len(msg) < 4:
-                return
-            pos = msg[2]
-            if pos in lease.unacked:
-                # The ack is the heartbeat: shrink the remaining budget
-                # and extend the lease for what's left.
-                lease.unacked.discard(pos)
-                lease.budget -= timeouts[pos]
-                lease.deadline = (time.monotonic()
-                                  + policy.timeout_slack_s
-                                  + max(lease.budget, 0.0))
-            if pos not in pending:
-                return                # speculation: first result won
-            if kind == "result":
-                pending.discard(pos)
-                emitted.append((pos, msg[3]))
-                return
-            if kind != "failure":
-                return
-            error_type, message, tb = msg[3]
-            count = attempts.get(pos, 0) + 1
-            attempts[pos] = count
-            if count <= policy.max_retries:
-                self.stats.retries += 1
-                enqueue([pos], count,
-                        time.monotonic() + policy.backoff_for(count))
-            else:
-                finalize(pos, TaskFailure(
-                    kind="exception",
-                    message=f"task raised {error_type}: {message}",
-                    attempts=count, error_type=error_type,
-                    traceback=tb))
-
-        def on_crash(lease: _Lease, kind: str, now: float) -> None:
-            """The lease's worker vanished (conn loss) or went silent
-            past its deadline — the PR-8 bisection/poison logic."""
-            lost = [pos for pos in lease.assignment.positions
-                    if pos in lease.unacked and pos in pending]
-            if not lost:
-                return
-            if len(lost) > 1:
-                self.stats.bisections += 1
-                self.stats.resubmissions += 2
-                for pos in lost:
-                    resubmits[pos] = resubmits.get(pos, 0) + 1
-                mid = (len(lost) + 1) // 2
-                for part in (lost[:mid], lost[mid:]):
-                    enqueue(part, lease.assignment.attempt + 1, now)
-                return
-            pos = lost[0]
-            count = attempts.get(pos, 0) + 1
-            attempts[pos] = count
-            if kind == "worker-death" and lease.assignment.attempt > 0:
-                # Bisection-isolated singleton that still took its
-                # connection down: proven poison, same as PR-8.
-                finalize(pos, TaskFailure(
-                    kind="worker-death", attempts=count,
-                    message="connection lost while running this task "
-                            "(isolated by bisection)"))
-                return
-            if count <= policy.max_retries:
-                self.stats.retries += 1
-                self.stats.resubmissions += 1
-                resubmits[pos] = resubmits.get(pos, 0) + 1
-                enqueue([pos], count, now + policy.backoff_for(count))
-                return
-            if kind == "timeout" and policy.serial_fallback:
-                # Every lease on this task expired: one undisturbed
-                # in-process run (no injection — this is the client).
-                self.stats.serial_fallbacks += 1
-                try:
-                    result = run_task_group([tasks[pos]])[0]
-                except Exception as error:
-                    finalize(pos, TaskFailure(
-                        kind="timeout", attempts=count + 1,
-                        message=f"lease expired {count} time(s); "
-                                f"serial fallback raised "
-                                f"{type(error).__name__}: {error}",
-                        error_type=type(error).__name__,
-                        traceback=traceback.format_exc()))
-                else:
-                    pending.discard(pos)
-                    emitted.append((pos, result))
-                return
-            what = ("blew its lease" if kind == "timeout"
-                    else "lost its connection")
-            finalize(pos, TaskFailure(
-                kind=kind, attempts=count,
-                message=f"{what} on every one of {count} attempt(s)"))
 
         def crash(conn: _Conn, kind: str, now: float) -> None:
             if kind == "worker-death":
                 self.stats.conn_losses += 1
             lease = self._lost(conn)
             if lease is not None:
-                on_crash(lease, kind, now)
+                core.on_lost(lease, kind, now)
 
         def launch(conn: _Conn, assignment: _Assignment,
                    now: float) -> bool:
@@ -797,29 +667,21 @@ class RemoteExecutor(ProcessPoolExecutor):
                 self.stats.conn_losses += 1
                 self._lost(conn)
                 return False
-            budget = sum(timeouts[pos]
-                         for pos in assignment.positions)
-            conn.running = _Lease(
-                assignment, budget,
-                now + policy.timeout_slack_s + budget)
+            conn.running = core.lease(assignment, now, conn)
             conn.state = "busy"
             return True
 
         def dispatch(now: float) -> None:
-            while ready and ready[0][0] <= now:
+            while True:
                 idle = next((c for c in conns if c.state == "idle"),
                             None)
                 if idle is None:
                     return
-                _, _, assignment = heapq.heappop(ready)
-                positions = [pos for pos in assignment.positions
-                             if pos in pending]
-                if not positions:
-                    continue
-                assignment.positions = positions
+                assignment = core.next_ready(now)
+                if assignment is None:
+                    return
                 if not launch(idle, assignment, now):
-                    heapq.heappush(ready, (now, assignment.aid,
-                                           assignment))
+                    core.requeue(assignment, now)
 
         def maybe_steal(now: float) -> None:
             """Idle lane + empty queue: speculatively duplicate the
@@ -827,7 +689,7 @@ class RemoteExecutor(ProcessPoolExecutor):
             if not self.steal:
                 return
             for idle in [c for c in conns if c.state == "idle"]:
-                if ready and ready[0][0] <= now:
+                if core.due(now):
                     return            # real work exists; dispatch wins
                 victim_tail: Optional[List[int]] = None
                 for victim in conns:
@@ -835,7 +697,8 @@ class RemoteExecutor(ProcessPoolExecutor):
                     if victim.state != "busy" or lease is None:
                         continue
                     avail = [pos for pos in lease.assignment.positions
-                             if pos in lease.unacked and pos in pending
+                             if pos in lease.unacked
+                             and pos in core.pending
                              and pos not in speculated]
                     if avail and (victim_tail is None
                                   or len(avail) > len(victim_tail)):
@@ -847,17 +710,12 @@ class RemoteExecutor(ProcessPoolExecutor):
                 speculated.update(tail)
                 self.stats.steals += 1
                 self.stats.duplicates += len(tail)
-                self._next_aid += 1
-                duplicate = _Assignment(self._next_aid, list(tail),
-                                        victim_attempt)
-                if not launch(idle, duplicate, now):
+                if not launch(idle, core.assignment(tail, victim_attempt),
+                              now):
                     speculated.difference_update(tail)
 
-        for chunk in self._chunks_for(tasks):
-            enqueue(chunk, 0, 0.0)
-
         try:
-            while pending:
+            while core.pending:
                 now = time.monotonic()
                 for conn in conns:
                     if conn.state == "backoff" and now >= conn.retry_at:
@@ -902,12 +760,8 @@ class RemoteExecutor(ProcessPoolExecutor):
                         crash(conn, "worker-death", now)
                         continue
                     for msg in msgs:
-                        on_message(conn, msg)
-                if emitted:
-                    yield from emitted
-                    emitted.clear()
-                if fatal:
-                    raise TaskFailedError(fatal)
+                        core.on_message(conn.running, msg)
+                yield from core.flush()
                 now = time.monotonic()
                 for conn in conns:
                     lease = conn.running
@@ -919,11 +773,7 @@ class RemoteExecutor(ProcessPoolExecutor):
                     elif now > lease.deadline:
                         self.stats.lease_expiries += 1
                         crash(conn, "timeout", now)
-                if emitted:
-                    yield from emitted
-                    emitted.clear()
-                if fatal:
-                    raise TaskFailedError(fatal)
+                yield from core.flush()
         except BaseException:
             # Abort (failure, ^C, or an abandoned generator): drop the
             # leases but keep healthy sockets warm — late frames from
@@ -933,10 +783,10 @@ class RemoteExecutor(ProcessPoolExecutor):
                 if conn.state == "busy":
                     conn.state = "idle"
             raise
-        if pending:
+        if core.pending:
             # Mid-batch total loss: every worker written off with work
             # still owed.  Degrade, don't die.
-            yield from self._run_local(tasks, pending,
+            yield from self._run_local(tasks, core.pending,
                                        "all workers lost mid-batch")
 
     def close(self) -> None:
@@ -946,7 +796,6 @@ class RemoteExecutor(ProcessPoolExecutor):
         # the lazily-created fallback pool is released exactly once.
         conns, self._conns = self._conns, []
         fallback, self._fallback = self._fallback, None
-        super().close()
         for conn in conns:
             sock, conn.sock = conn.sock, None
             if sock is not None:

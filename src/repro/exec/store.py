@@ -538,9 +538,10 @@ class StoreExecutor(Executor):
     """Serve hits from a :class:`ResultStore`; persist misses as they
     complete.
 
-    The disk analogue of :class:`~repro.exec.executors.CachingExecutor`,
-    keyed by the same :func:`~repro.exec.task.cache_key` so memory and
-    disk entries can never diverge.  Misses stream through the inner
+    Keyed by :func:`~repro.exec.task.cache_key`, the same key the
+    evaluator's in-memory memo uses, so memory and disk entries can
+    never diverge.  Duplicate tasks within one batch execute once.
+    Misses stream through the inner
     executor's :meth:`~repro.exec.executors.Executor.run_iter` and are
     written to the store the moment each result exists — kill the
     process mid-batch and everything finished so far is already on
@@ -598,7 +599,7 @@ class StoreExecutor(Executor):
             pending.append(task)
             pending_keys.append(key)
         # Progress spans the submitted batch (hits and duplicates count
-        # as already done), mirroring CachingExecutor.
+        # as already done).
         done_offset = len(tasks) - len(pending)
         if pending:
             self.misses += len(pending)

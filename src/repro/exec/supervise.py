@@ -1,12 +1,11 @@
 """Supervised fault-tolerant execution.
 
-:class:`SupervisedExecutor` replaces the bare ``Pool.imap_unordered``
-fan-out with worker processes the supervisor actually *watches*.  The
-raw pool had three failure modes that each killed a whole campaign: a
-task exception unwound the batch, a worker SIGKILLed by the OOM killer
-wedged ``imap_unordered`` forever, and a hung task stalled its chunk
-with no deadline.  Here every one of those degrades to a structured,
-bounded, per-task outcome:
+:class:`SupervisedExecutor` fans batches out over worker processes the
+supervisor actually *watches*.  A bare process pool has three failure
+modes that each kill a whole campaign: a task exception unwinds the
+batch, a worker SIGKILLed by the OOM killer wedges the pool forever,
+and a hung task stalls its chunk with no deadline.  Here every one of
+those degrades to a structured, bounded, per-task outcome:
 
 * **In-task exceptions** come back as messages, are retried up to
   ``RetryPolicy.max_retries`` with exponential backoff, and finally
@@ -28,6 +27,11 @@ bounded, per-task outcome:
   killed and its tasks retried; a task that keeps timing out degrades
   gracefully to one in-process serial attempt before being failed.
 
+These rules live in one place, the transport-independent dispatch core
+(:class:`_Dispatch`); :class:`SupervisedExecutor` and
+:class:`~repro.exec.remote.RemoteExecutor` only move assignments to
+their workers and messages back.
+
 The determinism contract survives all of it: a task is a pure function
 of its fields, so *which* attempt produced a result cannot change the
 result.  Under any injected fault schedule (:mod:`repro.exec.faults`),
@@ -40,6 +44,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import heapq
+import itertools
 import multiprocessing
 import time
 import traceback
@@ -48,9 +53,10 @@ from multiprocessing.connection import wait as _wait
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import faults
-from .executors import ProcessPoolExecutor, task_cost
+from .executors import (Executor, ProgressFn, chunk_tasks, default_jobs,
+                        task_cost)
 from .task import (SimTask, SimTaskResult, TaskFailure, cache_key,
-                   run_task_group)
+                   group_tasks, run_task_group)
 
 __all__ = ["RetryPolicy", "SupervisedExecutor", "SuperviseStats",
            "TaskFailedError", "add_fault_tolerance_arguments",
@@ -144,32 +150,6 @@ class SuperviseStats:
     quarantined: int = 0        # tasks finalized as failure results
 
 
-def _units(tasks: Sequence[SimTask]) -> List[List[int]]:
-    """Split an assignment into execution units, mirroring
-    :func:`~repro.exec.task.run_task_group`'s fluid grouping.
-
-    Packet tasks are singleton units; fluid tasks differing only by
-    seed form one vectorized unit.  Running unit-by-unit (instead of
-    the whole assignment in one call) lets the worker acknowledge each
-    task as it completes, which is what gives the supervisor its
-    heartbeat and keeps a crash from losing already-finished work.
-    """
-    import json
-
-    units: List[List[int]] = []
-    fluid: Dict[Tuple, List[int]] = {}
-    for j, task in enumerate(tasks):
-        if task.backend != "fluid":
-            units.append([j])
-            continue
-        key = (json.dumps(task.config, sort_keys=True,
-                          separators=(",", ":")),
-               task.trees, task.duration_s, task.record_usage)
-        fluid.setdefault(key, []).append(j)
-    units.extend(fluid.values())
-    return units
-
-
 def _send(conn, message) -> bool:
     """Send to the supervisor; False means it is gone — stop working."""
     try:
@@ -192,6 +172,10 @@ def _worker_main(inbox, results) -> None:
       task raised; structured, never a pickled exception object (which
       may itself fail to unpickle).
     * ``("done", aid)`` — assignment finished, worker is idle.
+
+    Tasks run unit by unit (:func:`~repro.exec.task.group_tasks`), not
+    as one call per assignment, so every task is acknowledged as it
+    completes and a crash never loses already-finished work.
     """
     faults.mark_worker_process()
     try:
@@ -206,7 +190,7 @@ def _worker_main(inbox, results) -> None:
         if message is None:
             return
         aid, attempt, positions, tasks = message
-        for unit in _units(tasks):
+        for unit in group_tasks(tasks):
             try:
                 if injector is not None:
                     for j in unit:
@@ -229,7 +213,7 @@ def _worker_main(inbox, results) -> None:
 class _WorkerHandle:
     """One supervised worker process plus its two channels."""
 
-    __slots__ = ("wid", "inbox", "results", "process")
+    __slots__ = ("wid", "inbox", "results", "process", "broken")
 
     def __init__(self, ctx, wid: int):
         self.wid = wid
@@ -243,6 +227,7 @@ class _WorkerHandle:
             name=f"repro-supervised-{wid}", daemon=True)
         self.process.start()
         send.close()
+        self.broken = False        # EOF/error seen on `results`
 
     def reap(self) -> None:
         """Kill (if needed), join, and release both channels."""
@@ -263,6 +248,10 @@ class _WorkerHandle:
                 pass
 
 
+# ----------------------------------------------------------------------
+# The dispatch core: the failure contract, independent of transport.
+
+
 class _Assignment:
     """A set of task positions dispatched (or queued) as one message."""
 
@@ -274,43 +263,276 @@ class _Assignment:
         self.attempt = attempt
 
 
-class _Running:
-    """Supervisor-side state for one in-flight assignment."""
+class _Lease:
+    """One in-flight assignment and the worker it was dispatched to.
 
-    __slots__ = ("handle", "assignment", "unacked", "budget", "deadline",
-                 "broken", "done")
+    The deadline is the lease: the policy's slack plus the budgets of
+    the still-unacknowledged tasks.  Every per-task message is an ack
+    that shrinks the budget and pushes the deadline out.  ``worker`` is
+    whatever the transport dispatched to (a worker process handle, a
+    connection).
+    """
 
-    def __init__(self, handle: _WorkerHandle, assignment: _Assignment,
-                 budget: float, deadline: float):
-        self.handle = handle
+    __slots__ = ("assignment", "worker", "unacked", "budget", "deadline",
+                 "done")
+
+    def __init__(self, assignment: _Assignment, worker, budget: float,
+                 deadline: float):
         self.assignment = assignment
+        self.worker = worker
         self.unacked: Set[int] = set(assignment.positions)
         self.budget = budget
         self.deadline = deadline
-        self.broken = False
         self.done = False
 
 
-class SupervisedExecutor(ProcessPoolExecutor):
-    """Cost-packed fan-out with supervision, retry, and quarantine.
+class _Dispatch:
+    """The failure contract for one batch, shared by every transport.
 
-    A drop-in for :class:`~repro.exec.executors.ProcessPoolExecutor`
-    (and a subclass of it, so existing ``isinstance`` dispatch keeps
-    working): same chunking, same determinism, same streaming
-    ``run_iter`` — plus the failure semantics described in the module
-    docstring, governed by a :class:`RetryPolicy`.
+    Owns which tasks are still owed (``pending``), the tries and
+    crash-resubmissions each has consumed, the ``ready`` heap of
+    assignments waiting for a worker (by ready time, then aid), and the
+    results and failures waiting to reach the caller.  Retry with
+    backoff, bisection, proven-poison, serial fallback, and
+    quarantine-or-raise are all decided here, so a local worker pool
+    and a fleet of TCP daemons fail identically.
+
+    A transport only moves work: it pops due assignments with
+    :meth:`next_ready`, wraps each one it dispatches in :meth:`lease`,
+    feeds every worker message to :meth:`on_message`, reports a dead or
+    silent worker with :meth:`on_lost`, and yields :meth:`flush` after
+    each round.  ``aids`` is the executor's assignment-id counter, so
+    ids stay unique across its batches and a late message from an
+    abandoned batch can never match a live lease.  ``stats`` needs the
+    ``retries``, ``bisections``, ``resubmissions``,
+    ``serial_fallbacks``, and ``quarantined`` counters.
+    """
+
+    def __init__(self, tasks: List[SimTask], chunks: List[List[int]],
+                 policy: RetryPolicy, stats, aids: Iterator[int]):
+        self.tasks = tasks
+        self.policy = policy
+        self.stats = stats
+        self._aids = aids
+        self.timeouts = [policy.timeout_for(task) for task in tasks]
+        self.pending: Set[int] = set(range(len(tasks)))
+        self.attempts: Dict[int, int] = {}     # per-task tries consumed
+        self.resubmits: Dict[int, int] = {}    # crash-resubmission depth
+        self.ready: List[Tuple[float, int, _Assignment]] = []
+        self._emitted: List[Tuple[int, SimTaskResult]] = []
+        self._fatal: List[Tuple[str, TaskFailure]] = []
+        for chunk in chunks:
+            self.enqueue(chunk, 0, 0.0)
+
+    # -- queueing ---------------------------------------------------------
+
+    def assignment(self, positions: Sequence[int],
+                   attempt: int) -> _Assignment:
+        return _Assignment(next(self._aids), list(positions), attempt)
+
+    def enqueue(self, positions: Sequence[int], attempt: int,
+                ready_at: float) -> None:
+        self.requeue(self.assignment(positions, attempt), ready_at)
+
+    def requeue(self, assignment: _Assignment, ready_at: float) -> None:
+        heapq.heappush(self.ready, (ready_at, assignment.aid, assignment))
+
+    def due(self, now: float) -> bool:
+        return bool(self.ready) and self.ready[0][0] <= now
+
+    def next_ready(self, now: float) -> Optional[_Assignment]:
+        """Pop the next assignment due by ``now``, trimmed to the tasks
+        still owed; ``None`` when nothing is due."""
+        while self.due(now):
+            _, _, assignment = heapq.heappop(self.ready)
+            positions = [pos for pos in assignment.positions
+                         if pos in self.pending]
+            if positions:
+                assignment.positions = positions
+                return assignment
+        return None
+
+    def lease(self, assignment: _Assignment, now: float,
+              worker) -> _Lease:
+        budget = sum(self.timeouts[pos] for pos in assignment.positions)
+        return _Lease(assignment, worker, budget,
+                      now + self.policy.timeout_slack_s + budget)
+
+    # -- outcomes ---------------------------------------------------------
+
+    def _complete(self, pos: int, result: SimTaskResult) -> None:
+        self.pending.discard(pos)
+        self._emitted.append((pos, result))
+
+    def _consume(self, pos: int) -> int:
+        count = self.attempts.get(pos, 0) + 1
+        self.attempts[pos] = count
+        return count
+
+    def _retry(self, pos: int, count: int, now: float) -> bool:
+        """Requeue a lone retry after backoff, if tries are left."""
+        if count > self.policy.max_retries:
+            return False
+        self.stats.retries += 1
+        self.enqueue([pos], count, now + self.policy.backoff_for(count))
+        return True
+
+    def _finalize(self, pos: int, failure: TaskFailure) -> None:
+        """Out of options for this task: quarantine or abort."""
+        if pos not in self.pending:
+            return
+        failure = dataclasses.replace(
+            failure, resubmissions=self.resubmits.get(pos, 0))
+        if self.policy.on_failure == "quarantine":
+            self.stats.quarantined += 1
+            self._complete(pos, SimTaskResult(failure=failure))
+        else:
+            self.pending.discard(pos)
+            self._fatal.append((cache_key(self.tasks[pos]), failure))
+
+    def on_message(self, lease: Optional[_Lease], msg) -> None:
+        """Apply one worker message to ``lease``.
+
+        Messages arrive over pipes or the network, so their shape is
+        checked here for every transport: anything but a
+        ``("done", aid)``, ``("result", aid, pos, result)``, or
+        ``("failure", aid, pos, detail)`` tuple for the lease's own
+        assignment is ignored — stale messages from an abandoned
+        assignment included.
+        """
+        if lease is None or not (isinstance(msg, tuple) and len(msg) >= 2):
+            return
+        kind, aid = msg[0], msg[1]
+        if aid != lease.assignment.aid:
+            return                    # stale: abandoned assignment
+        if kind == "done":
+            lease.done = True
+            return
+        if kind not in ("result", "failure") or len(msg) < 4:
+            return
+        pos = msg[2]
+        if pos in lease.unacked:
+            # The ack is the heartbeat: shrink the remaining budget and
+            # push the deadline out for what's left.
+            lease.unacked.discard(pos)
+            lease.budget -= self.timeouts[pos]
+            lease.deadline = (time.monotonic() + self.policy.timeout_slack_s
+                              + max(lease.budget, 0.0))
+        if pos not in self.pending:
+            return      # a duplicate: kill race or speculative copy
+        if kind == "result":
+            self._complete(pos, msg[3])
+            return
+        error_type, message, tb = msg[3]
+        count = self._consume(pos)
+        if not self._retry(pos, count, time.monotonic()):
+            self._finalize(pos, TaskFailure(
+                kind="exception",
+                message=f"task raised {error_type}: {message}",
+                attempts=count, error_type=error_type, traceback=tb))
+
+    def on_lost(self, lease: _Lease, kind: str, now: float) -> None:
+        """``lease``'s worker died or dropped its connection
+        (``"worker-death"``), or went silent past its deadline
+        (``"timeout"``): recover its unacknowledged tasks."""
+        lost = [pos for pos in lease.assignment.positions
+                if pos in lease.unacked and pos in self.pending]
+        if not lost:
+            return
+        if len(lost) > 1:
+            # Bisection: whichever half holds the poison crashes again
+            # and splits again; the other half completes.  attempt+1 so
+            # seeded *transient* faults (attempt-0 only) don't re-fire
+            # down the lineage.
+            self.stats.bisections += 1
+            self.stats.resubmissions += 2
+            for pos in lost:
+                self.resubmits[pos] = self.resubmits.get(pos, 0) + 1
+            mid = (len(lost) + 1) // 2
+            for part in (lost[:mid], lost[mid:]):
+                self.enqueue(part, lease.assignment.attempt + 1, now)
+            return
+        pos = lost[0]
+        count = self._consume(pos)
+        if kind == "worker-death" and lease.assignment.attempt > 0:
+            # A bisection-isolated singleton that still takes its worker
+            # down is proven poison: fail it now instead of burning
+            # max_retries more workers on it.
+            self._finalize(pos, TaskFailure(
+                kind="worker-death", attempts=count,
+                message="worker lost while running this task "
+                        "(isolated by bisection)"))
+            return
+        if self._retry(pos, count, now):
+            self.stats.resubmissions += 1
+            self.resubmits[pos] = self.resubmits.get(pos, 0) + 1
+            return
+        if kind == "timeout" and self.policy.serial_fallback:
+            # Graceful degradation: workers keep timing out on it, so
+            # give the task one undisturbed in-process run (no deadline,
+            # no injection — this is the dispatching process).
+            self.stats.serial_fallbacks += 1
+            try:
+                result = run_task_group([self.tasks[pos]])[0]
+            except Exception as error:
+                self._finalize(pos, TaskFailure(
+                    kind="timeout", attempts=count + 1,
+                    message=f"timed out {count} time(s); serial "
+                            f"fallback raised "
+                            f"{type(error).__name__}: {error}",
+                    error_type=type(error).__name__,
+                    traceback=traceback.format_exc()))
+            else:
+                self._complete(pos, result)
+            return
+        what = "timed out" if kind == "timeout" else "lost its worker"
+        self._finalize(pos, TaskFailure(
+            kind=kind, attempts=count,
+            message=f"{what} on every one of {count} attempt(s)"))
+
+    def flush(self) -> Iterator[Tuple[int, SimTaskResult]]:
+        """Yield the results completed since the last flush, then raise
+        :class:`TaskFailedError` if a task failed under
+        ``on_failure="raise"``."""
+        emitted, self._emitted = self._emitted, []
+        yield from emitted
+        if self._fatal:
+            raise TaskFailedError(self._fatal)
+
+
+# ----------------------------------------------------------------------
+# The local transport.
+
+
+class SupervisedExecutor(Executor):
+    """Cost-packed fan-out over supervised local worker processes.
+
+    Chunks come from :func:`~repro.exec.executors.chunk_tasks`, results
+    stream from :meth:`run_iter` as they complete, and the failure
+    semantics in the module docstring are governed by a
+    :class:`RetryPolicy`.  This class is only the transport — worker
+    processes, their pipes, and the idle pool kept warm across batches;
+    the failure contract itself lives in :class:`_Dispatch`.
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  chunk_size: Optional[int] = None,
                  policy: Optional[RetryPolicy] = None):
-        super().__init__(jobs=jobs, chunk_size=chunk_size)
+        if jobs is not None and jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs or default_jobs()
+        self.chunk_size = chunk_size
         self.policy = policy if policy is not None else RetryPolicy()
         self.stats = SuperviseStats()
         self._ctx = multiprocessing.get_context()
         self._idle: List[_WorkerHandle] = []
         self._next_wid = 0
-        self._next_aid = 0
+        self._aids = itertools.count(1)
+
+    def run_batch(self, tasks: Sequence[SimTask],
+                  progress: Optional[ProgressFn] = None
+                  ) -> List[SimTaskResult]:
+        return self._collect(tasks, progress)
 
     # -- worker lifecycle -------------------------------------------------
 
@@ -324,7 +546,6 @@ class SupervisedExecutor(ProcessPoolExecutor):
         # Detach the worker list *first*: a ^C landing mid-teardown
         # leaves nothing double-owned, and a second close() is a no-op.
         workers, self._idle = self._idle, []
-        super().close()
         for handle in workers:
             try:
                 handle.inbox.put(None)     # graceful: exit the loop
@@ -341,228 +562,90 @@ class SupervisedExecutor(ProcessPoolExecutor):
         tasks = list(tasks)
         if not tasks:
             return
-        policy = self.policy
-        timeouts = [policy.timeout_for(task) for task in tasks]
-        pending: Set[int] = set(range(len(tasks)))
-        attempts: Dict[int, int] = {}     # per-task tries consumed
-        resubmits: Dict[int, int] = {}    # crash-resubmission depth
-        ready: List[Tuple[float, int, _Assignment]] = []  # (ready_at,..)
-        busy: Dict[int, _Running] = {}                    # wid -> state
-        emitted: List[Tuple[int, SimTaskResult]] = []
-        fatal: List[Tuple[str, TaskFailure]] = []
+        core = _Dispatch(tasks, chunk_tasks(tasks, self.jobs,
+                                            self.chunk_size),
+                         self.policy, self.stats, self._aids)
+        busy: Dict[int, _Lease] = {}       # wid -> lease (worker=handle)
 
-        def enqueue(positions: List[int], attempt: int,
-                    ready_at: float) -> None:
-            self._next_aid += 1
-            assignment = _Assignment(self._next_aid, list(positions),
-                                     attempt)
-            heapq.heappush(ready, (ready_at, assignment.aid, assignment))
-
-        def finalize(pos: int, failure: TaskFailure) -> None:
-            """Out of options for this task: quarantine or abort."""
-            if pos not in pending:
-                return
-            pending.discard(pos)
-            failure = dataclasses.replace(
-                failure, resubmissions=resubmits.get(pos, 0))
-            if policy.on_failure == "quarantine":
-                self.stats.quarantined += 1
-                emitted.append((pos, SimTaskResult(failure=failure)))
-            else:
-                fatal.append((cache_key(tasks[pos]), failure))
-
-        def on_message(r: _Running, msg) -> None:
-            kind, aid = msg[0], msg[1]
-            if aid != r.assignment.aid:
-                return                    # stale: abandoned assignment
-            if kind == "done":
-                r.done = True
-                return
-            pos = msg[2]
-            if pos in r.unacked:
-                # The ack is the heartbeat: shrink the remaining budget
-                # and push the deadline out for what's left.
-                r.unacked.discard(pos)
-                r.budget -= timeouts[pos]
-                r.deadline = (time.monotonic() + policy.timeout_slack_s
-                              + max(r.budget, 0.0))
-            if pos not in pending:
-                return                    # duplicate after a kill race
-            if kind == "result":
-                pending.discard(pos)
-                emitted.append((pos, msg[3]))
-                return
-            error_type, message, tb = msg[3]
-            count = attempts.get(pos, 0) + 1
-            attempts[pos] = count
-            if count <= policy.max_retries:
-                self.stats.retries += 1
-                enqueue([pos], count,
-                        time.monotonic() + policy.backoff_for(count))
-            else:
-                finalize(pos, TaskFailure(
-                    kind="exception",
-                    message=f"task raised {error_type}: {message}",
-                    attempts=count, error_type=error_type, traceback=tb))
-
-        def drain(r: _Running) -> None:
-            while not r.broken:
+        def drain(lease: _Lease) -> None:
+            handle = lease.worker
+            while not handle.broken:
                 try:
-                    if not r.handle.results.poll():
+                    if not handle.results.poll():
                         return
-                    msg = r.handle.results.recv()
+                    msg = handle.results.recv()
                 except (EOFError, OSError):
-                    r.broken = True
+                    handle.broken = True
                     return
-                on_message(r, msg)
-
-        def on_crash(r: _Running, kind: str, now: float) -> None:
-            """The assignment's worker died or blew its deadline."""
-            if kind == "worker-death":
-                self.stats.worker_deaths += 1
-            else:
-                self.stats.timeouts += 1
-            lost = [pos for pos in r.assignment.positions
-                    if pos in r.unacked and pos in pending]
-            if not lost:
-                return
-            if len(lost) > 1:
-                # Bisection: whichever half holds the poison crashes
-                # again and splits again; the other half completes.
-                # attempt+1 so seeded *transient* faults (attempt-0
-                # only) don't re-fire down the lineage.
-                self.stats.bisections += 1
-                self.stats.resubmissions += 2
-                for pos in lost:
-                    resubmits[pos] = resubmits.get(pos, 0) + 1
-                mid = (len(lost) + 1) // 2
-                for part in (lost[:mid], lost[mid:]):
-                    enqueue(part, r.assignment.attempt + 1, now)
-                return
-            pos = lost[0]
-            count = attempts.get(pos, 0) + 1
-            attempts[pos] = count
-            if kind == "worker-death" and r.assignment.attempt > 0:
-                # A bisection-isolated singleton that still kills its
-                # worker is proven poison: quarantine it now instead of
-                # burning max_retries more workers on it.
-                finalize(pos, TaskFailure(
-                    kind="worker-death", attempts=count,
-                    message="worker died while running this task "
-                            "(isolated by bisection)"))
-                return
-            if count <= policy.max_retries:
-                self.stats.retries += 1
-                self.stats.resubmissions += 1
-                resubmits[pos] = resubmits.get(pos, 0) + 1
-                enqueue([pos], count, now + policy.backoff_for(count))
-                return
-            if kind == "timeout" and policy.serial_fallback:
-                # Graceful degradation: workers keep timing out on it,
-                # so give the task one undisturbed in-process run (no
-                # deadline, no injection — this is the supervisor).
-                self.stats.serial_fallbacks += 1
-                try:
-                    result = run_task_group([tasks[pos]])[0]
-                except Exception as error:
-                    finalize(pos, TaskFailure(
-                        kind="timeout", attempts=count + 1,
-                        message=f"timed out {count} time(s); serial "
-                                f"fallback raised "
-                                f"{type(error).__name__}: {error}",
-                        error_type=type(error).__name__,
-                        traceback=traceback.format_exc()))
-                else:
-                    pending.discard(pos)
-                    emitted.append((pos, result))
-                return
-            what = ("timed out" if kind == "timeout"
-                    else "killed its worker")
-            finalize(pos, TaskFailure(
-                kind=kind, attempts=count,
-                message=f"{what} on every one of {count} attempt(s)"))
-
-        def dispatch(now: float) -> None:
-            while ready and ready[0][0] <= now and len(busy) < self.jobs:
-                _, _, assignment = heapq.heappop(ready)
-                positions = [pos for pos in assignment.positions
-                             if pos in pending]
-                if not positions:
-                    continue
-                assignment.positions = positions
-                handle = self._checkout()
-                handle.inbox.put(
-                    (assignment.aid, assignment.attempt, positions,
-                     [tasks[pos] for pos in positions]))
-                budget = sum(timeouts[pos] for pos in positions)
-                busy[handle.wid] = _Running(
-                    handle, assignment, budget,
-                    now + policy.timeout_slack_s + budget)
-
-        for chunk in self._chunks_for(tasks):
-            enqueue(chunk, 0, 0.0)
+                core.on_message(lease, msg)
 
         try:
-            while pending and (ready or busy):
+            while core.pending and (core.ready or busy):
                 now = time.monotonic()
-                dispatch(now)
-                conns = [r.handle.results for r in busy.values()
-                         if not r.broken]
+                while len(busy) < self.jobs:
+                    assignment = core.next_ready(now)
+                    if assignment is None:
+                        break
+                    handle = self._checkout()
+                    handle.inbox.put(
+                        (assignment.aid, assignment.attempt,
+                         assignment.positions,
+                         [tasks[pos] for pos in assignment.positions]))
+                    busy[handle.wid] = core.lease(assignment, now, handle)
+                conns = [lease.worker.results for lease in busy.values()
+                         if not lease.worker.broken]
                 if conns:
                     _wait(conns, timeout=_TICK_S)
                 else:
                     delay = _TICK_S
-                    if ready:
-                        delay = min(max(ready[0][0] - now, 0.0), _TICK_S)
+                    if core.ready:
+                        delay = min(max(core.ready[0][0] - now, 0.0),
+                                    _TICK_S)
                     time.sleep(delay)
-                for r in list(busy.values()):
-                    drain(r)
-                if emitted:
-                    yield from emitted
-                    emitted.clear()
-                if fatal:
-                    raise TaskFailedError(fatal)
+                for lease in list(busy.values()):
+                    drain(lease)
+                yield from core.flush()
                 now = time.monotonic()
-                for wid, r in list(busy.items()):
-                    if r.done:
+                for wid, lease in list(busy.items()):
+                    handle = lease.worker
+                    if lease.done:
                         busy.pop(wid)
-                        self._idle.append(r.handle)
-                    elif r.broken or not r.handle.process.is_alive():
-                        drain(r)          # last-gasp buffered messages
+                        self._idle.append(handle)
+                    elif handle.broken or not handle.process.is_alive():
+                        drain(lease)      # last-gasp buffered messages
                         busy.pop(wid)
-                        r.handle.reap()
-                        on_crash(r, "worker-death", now)
-                    elif now > r.deadline:
+                        handle.reap()
+                        self.stats.worker_deaths += 1
+                        core.on_lost(lease, "worker-death", now)
+                    elif now > lease.deadline:
                         busy.pop(wid)
-                        r.handle.reap()
-                        on_crash(r, "timeout", now)
-                if emitted:
-                    yield from emitted
-                    emitted.clear()
-                if fatal:
-                    raise TaskFailedError(fatal)
+                        handle.reap()
+                        self.stats.timeouts += 1
+                        core.on_lost(lease, "timeout", now)
+                yield from core.flush()
             # All results are out; collect trailing "done" messages so
             # finishing workers return to the idle pool for the next
             # batch (a slow or wedged one is recycled instead).
-            for wid, r in list(busy.items()):
+            for wid, lease in list(busy.items()):
+                handle = lease.worker
                 end = time.monotonic() + _SETTLE_S
-                while not (r.done or r.broken) \
+                while not (lease.done or handle.broken) \
                         and time.monotonic() < end:
-                    if r.handle.results.poll(0.02):
-                        drain(r)
-                    elif not r.handle.process.is_alive():
+                    if handle.results.poll(0.02):
+                        drain(lease)
+                    elif not handle.process.is_alive():
                         break
                 busy.pop(wid)
-                if r.done:
-                    self._idle.append(r.handle)
+                if lease.done:
+                    self._idle.append(handle)
                 else:
-                    r.handle.reap()
+                    handle.reap()
         except BaseException:
             # Abort (failure, ^C, or an abandoned generator): workers
             # still running stale assignments must not survive into the
             # next batch, where their task positions would collide.
-            for r in busy.values():
-                r.handle.reap()
+            for lease in busy.values():
+                lease.worker.reap()
             busy.clear()
             raise
 

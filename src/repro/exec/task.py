@@ -11,10 +11,8 @@ regardless of which worker runs it.
 
 Tasks carry a stable :meth:`SimTask.fingerprint` (a SHA-1 over the
 canonical JSON form), exposed to every cache through :func:`cache_key`:
-:class:`~repro.exec.executors.CachingExecutor` keys its in-memory memo
-with it, :class:`~repro.exec.store.StoreExecutor` keys the on-disk
-result store with it, and the evaluator uses it to avoid re-running
-incumbents.
+:class:`~repro.exec.store.StoreExecutor` keys the on-disk result store
+with it, and the evaluator uses it to avoid re-running incumbents.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["SimTask", "SimTaskResult", "TaskFailure", "run_sim_task",
-           "run_task_group", "cache_key", "BACKENDS"]
+           "run_task_group", "group_tasks", "cache_key", "BACKENDS"]
 
 #: Simulation backends a task may select.  ``"packet"`` is the exact
 #: event-driven engine (the source of truth); ``"fluid"`` is the
@@ -106,10 +104,10 @@ class SimTask:
 def cache_key(task: "SimTask") -> str:
     """The one key every result cache uses, memory or disk.
 
-    Both :class:`~repro.exec.executors.CachingExecutor` and
-    :class:`~repro.exec.store.StoreExecutor` key results through this
-    helper, so an in-memory entry and an on-disk entry for the same task
-    can never be filed under different keys.  The format is pinned by
+    :class:`~repro.exec.store.StoreExecutor` and the evaluator's memo
+    both key results through this helper, so an in-memory entry and an
+    on-disk entry for the same task can never be filed under different
+    keys.  The format is pinned by
     ``tests/test_exec.py::TestSimTask::test_fingerprint_format_pinned``;
     changing it invalidates every existing on-disk store, so bump
     :data:`repro.exec.store.SCHEMA_VERSION` alongside any change here.
@@ -206,34 +204,52 @@ def run_sim_task(task: SimTask) -> SimTaskResult:
     return SimTaskResult(run=run, usage_counts=counts, usage_sums=sums)
 
 
+def group_tasks(tasks: Sequence[SimTask]) -> List[List[int]]:
+    """Split ``tasks`` into execution units (lists of task indices).
+
+    Every packet task is a unit of its own, in task order; fluid tasks
+    that differ only by seed follow as one unit per (config, trees,
+    duration) group, evaluable by a single vectorized
+    :func:`~repro.sim.fluid.simulate_fluid` call.  Workers run and
+    acknowledge unit by unit, which is what gives the dispatchers their
+    per-task heartbeat.
+    """
+    units: List[List[int]] = []
+    fluid: Dict[Tuple, List[int]] = {}
+    for i, task in enumerate(tasks):
+        if task.backend != "fluid":
+            units.append([i])
+            continue
+        key = (json.dumps(task.config, sort_keys=True,
+                          separators=(",", ":")),
+               task.trees, task.duration_s, task.record_usage)
+        fluid.setdefault(key, []).append(i)
+    units.extend(fluid.values())
+    return units
+
+
 def run_task_group(tasks: Sequence[SimTask]) -> List[SimTaskResult]:
     """Execute a batch of tasks, vectorizing fluid seed batches.
 
     Packet tasks run one at a time through :func:`run_sim_task`.  Fluid
-    tasks that differ only by seed are grouped and evaluated by a single
-    :func:`~repro.sim.fluid.simulate_fluid` call — one array program per
-    (config, trees, duration) group.  Because the fluid integrator is
-    batch-invariant (elementwise across seeds), the grouped results are
-    bitwise-identical to running each task alone, so every executor may
-    route through here without weakening the determinism contract.
+    tasks that differ only by seed (one :func:`group_tasks` unit) are
+    evaluated by a single :func:`~repro.sim.fluid.simulate_fluid` call.
+    Because the fluid integrator is batch-invariant (elementwise across
+    seeds), the grouped results are bitwise-identical to running each
+    task alone, so every executor may route through here without
+    weakening the determinism contract.
     """
     from ..core.scenario import NetworkConfig
     from ..remy.compiled import compiled_from_json
     from ..remy.tree import WhiskerTree
 
     results: List[Optional[SimTaskResult]] = [None] * len(tasks)
-    groups: Dict[Tuple, List[int]] = {}
-    for i, task in enumerate(tasks):
-        if task.backend != "fluid":
-            results[i] = run_sim_task(task)
-            continue
-        key = (json.dumps(task.config, sort_keys=True,
-                          separators=(",", ":")),
-               task.trees, task.duration_s, task.record_usage)
-        groups.setdefault(key, []).append(i)
-    for key, indices in groups.items():
-        from ..sim.fluid import simulate_fluid
+    for indices in group_tasks(tasks):
         first = tasks[indices[0]]
+        if first.backend != "fluid":
+            results[indices[0]] = run_sim_task(first)
+            continue
+        from ..sim.fluid import simulate_fluid
         trees: Dict[str, WhiskerTree] = {}
         for kind, text in first.trees:
             tree = WhiskerTree.from_json(text)

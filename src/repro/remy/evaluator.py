@@ -107,7 +107,7 @@ class TreeEvaluator:
     ----------
     executor:
         Any :class:`repro.exec.Executor` (e.g. a
-        :class:`~repro.exec.ProcessPoolExecutor` for multi-core
+        :class:`~repro.exec.SupervisedExecutor` for multi-core
         training); ``None`` runs tasks serially.  The evaluator
         memoizes each task's derived score and usage stats by task
         fingerprint, so repeated tasks — the incumbent tree under

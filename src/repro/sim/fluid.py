@@ -50,6 +50,10 @@ Every update is elementwise over ``(seeds, flows)`` arrays or a
 reduction along the flow axis of one seed's row, so a seed evaluated
 alone is bitwise-identical to the same seed inside a batch — the
 executors' determinism contract extends to seed-batched fluid runs.
+Float reductions go through :func:`_flow_sum`, which sums each seed's
+row contiguously: numpy adds a strided axis sequentially but a
+contiguous one pairwise, so summing a non-contiguous ``(seeds, flows)``
+view would round differently with one seed row than with several.
 """
 
 from __future__ import annotations
@@ -532,7 +536,7 @@ def simulate_fluid(config: NetworkConfig,
         path_qd = np.zeros(shp)
         for l, (fidx, hidx) in enumerate(members):
             q_mem = q[:, fidx, hidx]
-            qlink[:, l] = q_mem.sum(axis=1)
+            qlink[:, l] = _flow_sum(q_mem)
             if is_sfq:
                 n_act = np.maximum((q_mem > 0).sum(axis=1), 1)
                 path_qd[:, fidx] += q_mem * (n_act[:, None]
@@ -779,12 +783,12 @@ def simulate_fluid(config: NetworkConfig,
             if drop_down[l] and caps_now[l] == 0.0:
                 # Blackout with a drop policy: arriving fluid is
                 # discarded (queued bytes stay for after the outage).
-                drop_bytes[:, l] += arr.sum(axis=1)
+                drop_bytes[:, l] += _flow_sum(arr)
                 loss_hist[:, fidx, pos_now] |= arr > 1e-9
                 drop_hist[:, fidx, pos_now] += arr / _PKT
                 arr = np.zeros_like(arr)
             avail = q_mem + arr
-            tot = avail.sum(axis=1)
+            tot = _flow_sum(avail)
             cap_dt = caps_now[l] * dt
             if is_sfq:
                 out_mem = _waterfill(avail, cap_dt)
@@ -812,7 +816,7 @@ def simulate_fluid(config: NetworkConfig,
                 acc = arr
                 if math.isfinite(buffers[l]):
                     over = np.maximum(tot - out_tot - buffers[l], 0.0)
-                    arr_tot = arr.sum(axis=1)
+                    arr_tot = _flow_sum(arr)
                     dropr = np.divide(over, arr_tot,
                                       where=arr_tot > 0.0,
                                       out=np.zeros_like(arr_tot))
@@ -840,7 +844,7 @@ def simulate_fluid(config: NetworkConfig,
                 cumAf = cum_arr_f[l]
                 cumAf[:, :, step + 1] = cumAf[:, :, step] + acc
                 cum_arr[:, l, step + 1] = cum_arr[:, l, step] \
-                    + acc.sum(axis=1)
+                    + _flow_sum(acc)
                 q_hi = cum_dep[:, l, step] + out_tot
                 cum_dep[:, l, step + 1] = q_hi
                 ti = tau_hi[:, l]
@@ -868,7 +872,7 @@ def simulate_fluid(config: NetworkConfig,
                     # Threshold marking (DCTCP's K): fluid arriving
                     # while the standing queue exceeds K is CE-marked
                     # — the Alizadeh model's step indicator.
-                    over_k = rem.sum(axis=1) > ecn_thresh_bytes
+                    over_k = _flow_sum(rem) > ecn_thresh_bytes
                     mark_hist[:, fidx, pos_now] |= over_k[:, None]
                 # Latency: invert the arrival curve at the step's
                 # median departing byte — its wait is the time since
@@ -894,7 +898,7 @@ def simulate_fluid(config: NetworkConfig,
                 wpk = out_mem / _PKT
             q[:, fidx, hidx] = rem
             dep_hist[:, fidx, hidx, pos_now] = out_mem / dt
-            link_out_bytes[:, l] += out_mem.sum(axis=1)
+            link_out_bytes[:, l] += _flow_sum(out_mem)
             wait_sum[:, fidx, hidx] += wpk * wait
             wt_pkts[:, fidx, hidx] += wpk
 
@@ -930,6 +934,12 @@ def simulate_fluid(config: NetworkConfig,
     return results
 
 
+def _flow_sum(a: np.ndarray) -> np.ndarray:
+    """Sum a ``(seeds, flows)`` array over flows, one contiguous row per
+    seed, so the rounding never depends on how many seeds are batched."""
+    return np.ascontiguousarray(a).sum(axis=1)
+
+
 def _waterfill(avail: np.ndarray, cap_dt: float) -> np.ndarray:
     """Fair-share (sfq) service: each backlogged bucket gets an equal
     share; unused share is redistributed until the capacity or the
@@ -948,5 +958,5 @@ def _waterfill(avail: np.ndarray, cap_dt: float) -> np.ndarray:
         take = np.minimum(todo, fair[:, None]) * active
         out += take
         todo -= take
-        remaining = remaining - take.sum(axis=1)
+        remaining = remaining - _flow_sum(take)
     return out

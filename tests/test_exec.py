@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.core.scale import Scale
 from repro.core.scenario import NetworkConfig, ScenarioRange
-from repro.exec import (CachingExecutor, Executor, ProcessPoolExecutor,
-                        SerialExecutor, SimTask, cache_key,
+from repro.exec import (Executor, SerialExecutor, SimTask,
+                        SupervisedExecutor, TaskFailedError, cache_key,
                         executor_for, pack_chunks, run_batch,
                         run_sim_task, task_cost)
 from repro.remy.action import Action
@@ -118,19 +118,19 @@ class TestExecutorEquivalence:
         """The determinism contract: scheduling cannot change results."""
         tasks = small_batch(4)
         serial = SerialExecutor().run_batch(tasks)
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             pooled = pool.run_batch(tasks)
         assert flows_key(serial) == flows_key(pooled)
 
     def test_pool_is_reusable_across_batches(self):
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             first = pool.run_batch(small_batch(2))
             second = pool.run_batch(small_batch(2))
         assert flows_key(first) == flows_key(second)
 
     def test_results_in_task_order(self):
         tasks = small_batch(5)
-        with ProcessPoolExecutor(jobs=2, chunk_size=1) as pool:
+        with SupervisedExecutor(jobs=2, chunk_size=1) as pool:
             results = pool.run_batch(tasks)
         assert [out.run.seed for out in results] == [1, 2, 3, 4, 5]
 
@@ -149,19 +149,18 @@ class TestExecutorEquivalence:
         assert isinstance(executor_for(None), SerialExecutor)
         assert isinstance(executor_for(1), SerialExecutor)
         pool = executor_for(2)
-        assert isinstance(pool, ProcessPoolExecutor)
+        assert isinstance(pool, SupervisedExecutor)
         pool.close()   # never started: close is a safe no-op
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
-            ProcessPoolExecutor(jobs=0)
+            SupervisedExecutor(jobs=0)
         with pytest.raises(ValueError):
             executor_for(-8)   # a "--jobs -8" typo must not run serial
 
     def test_run_seeds_jobs_matches_serial(self):
         from repro.core.scale import Scale as _Scale
-        from repro.experiments.common import (run_seeds,
-                                              run_seeds_parallel)
+        from repro.experiments.common import run_seeds
         scale = _Scale(duration_s=2.0, packet_budget=3_000,
                        min_duration_s=2.0, n_seeds=2)
         serial = run_seeds(CONFIG, trees={"learner": TREE}, scale=scale)
@@ -169,12 +168,6 @@ class TestExecutorEquivalence:
                            scale=scale, jobs=2)
         assert [[f.delivered_bytes for f in r.flows] for r in serial] \
             == [[f.delivered_bytes for f in r.flows] for r in pooled]
-        # the legacy twin survives as a deprecated alias
-        with pytest.deprecated_call():
-            legacy = run_seeds_parallel(CONFIG, trees={"learner": TREE},
-                                        scale=scale, jobs=2)
-        assert [[f.delivered_bytes for f in r.flows] for r in legacy] \
-            == [[f.delivered_bytes for f in r.flows] for r in serial]
 
 
 def _ideal_makespan(costs, n_chunks):
@@ -248,7 +241,7 @@ class TestChunkPacking:
                                seed=1 + k, duration_s=duration)
                  for k, duration in enumerate((4.0, 2.0, 3.0, 2.0, 2.0))]
         serial = SerialExecutor().run_batch(tasks)
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             pooled = pool.run_batch(tasks)
         assert flows_key(serial) == flows_key(pooled)
         assert [out.run.seed for out in pooled] == [1, 2, 3, 4, 5]
@@ -264,16 +257,16 @@ class TestRunIter:
 
     def test_pool_streams_every_task_once(self):
         tasks = small_batch(4)
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             seen = dict(pool.run_iter(tasks))
         assert sorted(seen) == [0, 1, 2, 3]
         assert flows_key([seen[i] for i in range(4)]) \
             == flows_key(SerialExecutor().run_batch(tasks))
 
     def test_default_run_iter_wraps_run_batch(self):
-        caching = CachingExecutor(SerialExecutor())
+        counting = CountingExecutor()
         tasks = small_batch(2)
-        seen = dict(caching.run_iter(tasks))
+        seen = dict(counting.run_iter(tasks))
         assert sorted(seen) == [0, 1]
 
 
@@ -289,57 +282,6 @@ class CountingExecutor(Executor):
         return SerialExecutor().run_batch(tasks, progress=progress)
 
 
-class TestCachingExecutor:
-    def test_hits_skip_execution(self):
-        inner = CountingExecutor()
-        caching = CachingExecutor(inner)
-        tasks = small_batch(3)
-        first = caching.run_batch(tasks)
-        assert inner.executed == 3
-        second = caching.run_batch(tasks)
-        assert inner.executed == 3          # nothing re-ran
-        assert flows_key(first) == flows_key(second)
-        assert caching.hits == 3 and caching.misses == 3
-
-    def test_duplicates_within_batch_run_once(self):
-        inner = CountingExecutor()
-        caching = CachingExecutor(inner)
-        task = small_batch(1)[0]
-        results = caching.run_batch([task, task, task])
-        assert inner.executed == 1
-        assert flows_key(results[:1]) == flows_key(results[1:2])
-
-    def test_different_tasks_not_conflated(self):
-        caching = CachingExecutor(CountingExecutor())
-        short, = small_batch(1, duration=2.0)
-        longer, = small_batch(1, duration=3.0)
-        out_short, out_long = caching.run_batch([short, longer])
-        assert out_short.run.duration_s == 2.0
-        assert out_long.run.duration_s == 3.0
-
-    def test_progress_spans_submitted_batch_not_misses(self):
-        caching = CachingExecutor(CountingExecutor())
-        tasks = small_batch(3)
-        caching.run_batch(tasks[:2])        # warm two entries
-        seen = []
-        caching.run_batch(tasks,
-                          progress=lambda d, n: seen.append((d, n)))
-        assert seen == [(3, 3)]             # 2 hits + 1 executed
-        seen = []
-        caching.run_batch(tasks,
-                          progress=lambda d, n: seen.append((d, n)))
-        assert seen == [(3, 3)]             # fully cached still fires
-
-    def test_clear_forgets(self):
-        inner = CountingExecutor()
-        caching = CachingExecutor(inner)
-        tasks = small_batch(2)
-        caching.run_batch(tasks)
-        caching.clear()
-        caching.run_batch(tasks)
-        assert inner.executed == 4
-
-
 TINY = EvalSettings(
     n_configs=2, sim_seeds=(1,),
     scale=Scale(duration_s=4.0, packet_budget=6_000, min_duration_s=2.0))
@@ -352,7 +294,7 @@ class TestEvaluatorOnExecutors:
     def test_serial_and_pool_scores_bitwise_identical(self):
         tree = WhiskerTree(default_action=Action(0.8, 4.0, 0.002))
         serial = TreeEvaluator(RANGE, TINY).evaluate(tree)
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             pooled = TreeEvaluator(RANGE, TINY,
                                    executor=pool).evaluate(tree)
         assert serial.score == pooled.score
@@ -393,7 +335,7 @@ class TestEvaluatorOnExecutors:
                                      neighbor_scales=(1.0,))
         serial_tree, serial_log = RemyOptimizer(
             RANGE, TINY, settings).train()
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             pooled_tree, pooled_log = RemyOptimizer(
                 RANGE, TINY, settings, executor=pool).train()
         assert serial_tree.to_json() == pooled_tree.to_json()
@@ -430,38 +372,35 @@ class TestDefaultJobs:
 
 
 class TestPoolLifecycle:
-    """The pool is recycled after a mid-batch worker exception and
-    close() stays safe under repetition / interruption."""
+    """The pool is recycled after a failed batch and close() stays safe
+    under repetition / interruption."""
 
     def test_pool_recycled_after_worker_exception(self):
         bad = dataclasses.replace(small_batch(1)[0],
                                   trees=(("learner", "{broken"),))
-        pool = ProcessPoolExecutor(jobs=2)
+        pool = SupervisedExecutor(jobs=2)
         try:
-            with pytest.raises(Exception):
+            with pytest.raises(TaskFailedError):
                 pool.run_batch([bad])
-            assert pool._pool is None         # broken pool torn down
-            good = pool.run_batch(small_batch(2))   # fresh pool spawned
+            good = pool.run_batch(small_batch(2))
             assert flows_key(good) \
                 == flows_key(SerialExecutor().run_batch(small_batch(2)))
         finally:
             pool.close()
 
     def test_close_idempotent_and_detaches_first(self):
-        pool = ProcessPoolExecutor(jobs=2)
+        pool = SupervisedExecutor(jobs=2)
         pool.run_batch(small_batch(1))
-        assert pool._pool is not None
+        assert pool._idle
         pool.close()
-        # Detached before teardown: a ^C landing inside terminate()
-        # leaves no half-closed pool behind, and closing again is a
+        # Detached before teardown: a ^C landing inside the reaping
+        # leaves no half-closed workers behind, and closing again is a
         # clean no-op.
-        assert pool._pool is None
+        assert pool._idle == []
         pool.close()
 
     def test_supervised_close_idempotent_and_reaps(self):
         import multiprocessing
-
-        from repro.exec import SupervisedExecutor
 
         def supervised_children():
             return [p for p in multiprocessing.active_children()
@@ -486,8 +425,6 @@ class TestPoolLifecycle:
         loop suspended with busy workers (they are reaped at close,
         not whenever GC finds the generator)."""
         import multiprocessing
-
-        from repro.exec import SupervisedExecutor
 
         class Boom(Exception):
             pass

@@ -16,10 +16,9 @@ import math
 import pytest
 
 from repro.core.scenario import NetworkConfig
-from repro.exec import (ProcessPoolExecutor, ResultStore, RetryPolicy,
-                        SerialExecutor, SimTask, StoreExecutor,
-                        SupervisedExecutor, TaskFailedError, cache_key,
-                        executor_for)
+from repro.exec import (ResultStore, RetryPolicy, SerialExecutor,
+                        SimTask, StoreExecutor, SupervisedExecutor,
+                        TaskFailedError, cache_key, executor_for)
 from repro.exec import faults
 from repro.exec.faults import (FAULTS_ENV, FaultInjected, FaultInjector,
                                FaultPlan, _uniform, injector_from_env)
@@ -176,7 +175,6 @@ class TestSupervisedClean:
         executor = executor_for(2, policy=FAST)
         try:
             assert isinstance(executor, SupervisedExecutor)
-            assert isinstance(executor, ProcessPoolExecutor)
             assert executor.policy is FAST
         finally:
             executor.close()

@@ -174,6 +174,26 @@ class TestSeedBatching:
         assert [_flows_key(r) for r in grouped] \
             == [_flows_key(r) for r in solo]
 
+    @pytest.mark.parametrize("senders", [10, 120])
+    def test_many_senders_batch_matches_solo_bitwise(self, senders):
+        """Reductions over the sender axis must round the same way
+        with one seed row as with several: past a handful of senders
+        numpy switches between sequential and pairwise summation
+        depending on the row's memory layout."""
+        config = NetworkConfig(link_speeds_mbps=(10.0,), rtt_ms=60.0,
+                               sender_kinds=("newreno",) * senders)
+        seeds = (1, 2, 3)
+        batch = simulate_fluid(config, seeds=seeds, duration_s=3.0)
+        solo = [simulate_fluid(config, seeds=(seed,), duration_s=3.0)[0]
+                for seed in seeds]
+
+        def key(run):
+            return ([(f.delivered_bytes, f.on_time_s, f.mean_delay_s,
+                      f.packets_sent) for f in run.flows],
+                    run.bottleneck_drops, run.bottleneck_utilization)
+
+        assert [key(run) for run in batch] == [key(run) for run in solo]
+
 
 class TestScreenThenConfirm:
     def _candidates(self):

@@ -22,8 +22,8 @@ import hashlib
 import json
 
 from repro.core.scenario import NetworkConfig
-from repro.exec import (ProcessPoolExecutor, SerialExecutor, SimTask,
-                        StoreExecutor)
+from repro.exec import (SerialExecutor, SimTask, StoreExecutor,
+                        SupervisedExecutor)
 from repro.exec.store import encode_result
 from repro.experiments.api import FAKE_TREE as TREE
 from repro.experiments.api import Axis, adhoc_spec, expand
@@ -231,7 +231,7 @@ class TestGoldenTraces:
         assert digests == GOLDEN
 
     def test_pooled_matches_golden(self):
-        with ProcessPoolExecutor(jobs=2) as pool:
+        with SupervisedExecutor(jobs=2) as pool:
             digests = _digests(pool.run_batch(TASKS))
         assert digests == GOLDEN
 

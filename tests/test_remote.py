@@ -11,6 +11,7 @@ poison is quarantined, and zero reachable workers degrades to the
 local supervised pool with a warning instead of an error.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -24,9 +25,9 @@ import pytest
 from repro.core.scenario import NetworkConfig
 from repro.exec import (RemoteExecutor, ResultStore, RetryPolicy,
                         SerialExecutor, SimTask, StoreExecutor,
-                        TaskFailedError, WorkerServer, cache_key,
-                        executor_for, parse_workers, run_batch,
-                        serve_worker)
+                        SupervisedExecutor, TaskFailedError,
+                        WorkerServer, cache_key, executor_for,
+                        parse_workers, run_batch, serve_worker)
 from repro.exec.faults import FAULTS_ENV, FaultInjector, FaultPlan
 from repro.exec.remote import (FrameError, _parse_frames, recv_frame,
                                send_frame, workers_from_args)
@@ -93,6 +94,16 @@ class TestParseWorkers:
     def test_malformed_addresses_rejected(self, bad):
         with pytest.raises(ValueError, match="HOST:PORT"):
             parse_workers(bad)
+
+    @pytest.mark.parametrize("bad", ["127.0.0.1:70000", "127.0.0.1:-1",
+                                     "h:0", ("h", 65536)])
+    def test_out_of_range_ports_rejected(self, bad):
+        # getaddrinfo would silently wrap 70000 to port 4464, and a
+        # negative port would only fail after the reconnect backoffs.
+        with pytest.raises(ValueError, match="1-65535") as excinfo:
+            parse_workers(bad if isinstance(bad, str) else [bad])
+        assert repr(bad) in str(excinfo.value)
+        assert parse_workers("h:1,h:65535") == [("h", 1), ("h", 65535)]
 
     def test_cli_round_trip(self):
         import argparse
@@ -355,6 +366,45 @@ class TestWireChaos:
         assert flows_key(results) \
             == flows_key(SerialExecutor().run_batch(tasks))
         assert stats.retries >= 1
+
+
+# ----------------------------------------------------------------------
+# One failure contract, two transports.
+
+
+class TestSharedFailureContract:
+    def test_poison_fails_identically_local_and_remote(self, monkeypatch):
+        """The supervised pool and the remote client share one dispatch
+        core, so the same in-task poison yields the same TaskFailure and
+        the same completed results over pipes and over TCP."""
+        tasks = small_batch(4)
+        poison = 1
+        plan = FaultPlan(raise_keys=(cache_key(tasks[poison]),))
+        policy = dataclasses.replace(FAST, on_failure="quarantine")
+        monkeypatch.setenv(FAULTS_ENV, plan.to_json())
+        with SupervisedExecutor(jobs=2, chunk_size=2,
+                                policy=policy) as local:
+            via_pipes = local.run_batch(tasks)
+        srv = chaos_server(plan)
+        try:
+            with remote(srv, lanes=2, policy=policy,
+                        chunk_size=2) as executor:
+                via_tcp = executor.run_batch(tasks)
+        finally:
+            srv.stop()
+
+        def contract(failure):
+            return failure.kind, failure.attempts, failure.resubmissions
+
+        assert via_pipes[poison].failure is not None
+        assert contract(via_pipes[poison].failure) \
+            == contract(via_tcp[poison].failure)
+        assert contract(via_tcp[poison].failure) \
+            == ("exception", policy.max_retries + 1, 0)
+        rest = [i for i in range(len(tasks)) if i != poison]
+        assert all(via_pipes[i].ok and via_tcp[i].ok for i in rest)
+        assert flows_key([via_pipes[i] for i in rest]) \
+            == flows_key([via_tcp[i] for i in rest])
 
 
 # ----------------------------------------------------------------------

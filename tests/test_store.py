@@ -266,7 +266,7 @@ class TestStoreExecutor:
 
     def test_memory_and_disk_share_the_cache_key(self, tmp_path):
         """A result cached in memory is filed on disk under the same
-        key: warm a store, then a CachingExecutor-style lookup by
+        key: warm a store, then an in-memory-memo-style lookup by
         cache_key() finds exactly that entry."""
         task = small_batch(1)[0]
         executor = StoreExecutor(SerialExecutor(), store=tmp_path / "s")

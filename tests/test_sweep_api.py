@@ -323,13 +323,11 @@ class TestAdhoc:
 
 
 class TestSeedFanoutFold:
-    def test_run_seeds_parallel_is_deprecated_alias(self):
+    def test_run_seeds_jobs_matches_default(self):
         from repro.core.scenario import NetworkConfig
-        from repro.experiments.common import run_seeds_parallel
         config = NetworkConfig(link_speeds_mbps=(8.0,), rtt_ms=100.0,
                                sender_kinds=("cubic", "cubic"))
         serial = run_seeds(config, scale=MICRO)
-        with pytest.deprecated_call():
-            legacy = run_seeds_parallel(config, scale=MICRO, jobs=1)
+        jobs = run_seeds(config, scale=MICRO, jobs=1)
         assert [r.flows[0].delivered_bytes for r in serial] == \
-            [r.flows[0].delivered_bytes for r in legacy]
+            [r.flows[0].delivered_bytes for r in jobs]
