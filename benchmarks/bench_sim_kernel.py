@@ -67,3 +67,10 @@ def test_fluid_kilosender_rate(benchmark):
     packet engine's twin run)."""
     delivered = benchmark(workloads.run_fluid_kilosenders)
     assert delivered > 500
+
+
+def test_fluid_lanes_rate(benchmark):
+    """Eight cross-scheme lanes at 100 senders in one fluid call — the
+    unit the executors form from a fluid sweep cell."""
+    delivered = benchmark(workloads.run_fluid_lanes)
+    assert delivered > 500

@@ -87,6 +87,7 @@ BENCHMARKS = {
     "many_senders": workloads.run_many_senders,
     "fluid_dumbbell": workloads.run_fluid_dumbbell,
     "fluid_kilosenders": workloads.run_fluid_kilosenders,
+    "fluid_lanes": workloads.run_fluid_lanes,
 }
 
 

@@ -25,7 +25,7 @@ __all__ = ["demo_tree", "lookup_vectors", "spin_event_loop",
            "run_remycc_flow", "run_many_senders",
            "run_whisker_lookups", "run_compiled_lookups",
            "run_fluid_dumbbell", "run_fluid_kilosenders",
-           "run_packet_kilosenders"]
+           "run_fluid_lanes", "run_packet_kilosenders"]
 
 #: The sane rate-matching action the test suite and --fake-taos use.
 _DEMO_ACTION = Action(0.8, 4.0, 0.002)
@@ -186,6 +186,24 @@ def run_fluid_kilosenders(duration_s: float = 2.0) -> int:
     run = simulate_fluid(_kilosender_config(), seeds=(1,),
                          duration_s=duration_s)[0]
     return sum(f.packets_delivered for f in run.flows)
+
+
+def run_fluid_lanes(duration_s: float = 2.0) -> int:
+    """Total packets of 4 schemes x 2 seeds at 100 senders, run as the
+    lanes of one fluid call — the unit a fluid sweep cell becomes."""
+    from repro.sim.fluid import FluidLane, simulate_fluid
+
+    n = 100
+    config = NetworkConfig(
+        link_speeds_mbps=(100.0,), rtt_ms=60.0,
+        sender_kinds=("newreno",) * n,
+        mean_on_s=1.0, mean_off_s=1.0, buffer_bdp=5.0)
+    trees = {"learner": demo_tree()}
+    lanes = [FluidLane((kind,) * n, (1.0,) * n, trees, seed)
+             for kind in ("newreno", "cubic", "dctcp", "learner")
+             for seed in (1, 2)]
+    runs = simulate_fluid(config, lanes=lanes, duration_s=duration_s)
+    return sum(f.packets_delivered for run in runs for f in run.flows)
 
 
 def run_packet_kilosenders(duration_s: float = 2.0) -> int:

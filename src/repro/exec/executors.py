@@ -42,10 +42,11 @@ import os
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.scale import PACKET_BYTES
-from .task import SimTask, SimTaskResult, run_sim_task, run_task_group
+from .task import (SimTask, SimTaskResult, group_tasks, run_sim_task,
+                   run_task_group)
 
 __all__ = ["Executor", "SerialExecutor", "chunk_tasks", "default_jobs",
-           "pack_chunks", "task_cost"]
+           "pack_chunks", "task_cost", "unit_cost"]
 
 #: ``progress(done, total)`` — called after each task completes.
 ProgressFn = Callable[[int, int], None]
@@ -70,6 +71,21 @@ def default_jobs() -> int:
     return max((cpus or 1) - 1, 1)
 
 
+#: Fluid cost model: wall seconds per integrator step, a fixed part
+#: (the ~150 numpy calls every step pays) plus a part per (lane, flow)
+#: cell.  Least-squares fit (relative error) to measured
+#: ``simulate_fluid`` times of mixed newreno/cubic/dctcp/RemyCC lanes
+#: at 10-1000 senders and 1-100 lanes (docs/PERFORMANCE.md).
+FLUID_STEP_S = 170e-6
+FLUID_CELL_S = 0.27e-6
+
+#: Wall seconds of one packet-engine packet event on the machine the
+#: fluid constants were fitted on (~77k packets/s, BENCH_kernel.json's
+#: ``newreno_flow``): converts fluid seconds into packet events, so
+#: fluid and packet tasks pack against each other on one scale.
+PACKET_EVENT_S = 13e-6
+
+
 def task_cost(task: SimTask) -> float:
     """Expected cost of one task, in simulated packet-events.
 
@@ -77,13 +93,37 @@ def task_cost(task: SimTask) -> float:
     packet events, which is known *before* running: the task's duration
     (already set via ``Scale.duration_for``) times the bottleneck packet
     rate.  Used to pack dispatch chunks by cost instead of count, so one
-    1000 Mbps run doesn't straggle behind a chunk of 1 Mbps runs.
+    1000 Mbps run doesn't straggle behind a chunk of 1 Mbps runs.  A
+    fluid task is priced as a one-lane :func:`unit_cost`.
     """
+    if task.backend == "fluid":
+        return _fluid_cost(task, 1)
     speeds = (1.0,)
     if isinstance(task.config, dict):
         speeds = task.config.get("link_speeds_mbps") or (1.0,)
     rate_pps = max(speeds) * 1e6 / (8.0 * PACKET_BYTES)
     return max(task.duration_s, 0.0) * max(rate_pps, 1.0)
+
+
+def _fluid_cost(task: SimTask, lanes: int) -> float:
+    """``steps * (FLUID_STEP_S + FLUID_CELL_S * lanes * senders)``, in
+    packet events."""
+    from ..core.scenario import NetworkConfig
+    from ..sim.fluid import fluid_dt
+
+    config = NetworkConfig.from_dict(task.config)
+    steps = max(int(round(task.duration_s / fluid_dt(config))), 1)
+    cells = lanes * config.num_senders
+    return steps * (FLUID_STEP_S + FLUID_CELL_S * cells) / PACKET_EVENT_S
+
+
+def unit_cost(tasks: Sequence[SimTask]) -> float:
+    """Expected cost of one :func:`~repro.exec.task.group_tasks` unit:
+    one packet task, or the lanes of one fluid call (whose fixed
+    per-step cost is paid once, not once per lane)."""
+    if tasks[0].backend == "fluid":
+        return _fluid_cost(tasks[0], len(tasks))
+    return sum(task_cost(task) for task in tasks)
 
 
 def pack_chunks(costs: Sequence[float], n_chunks: int) -> List[List[int]]:
@@ -119,20 +159,33 @@ def chunk_tasks(tasks: Sequence[SimTask], jobs: int,
                 chunk_size: Optional[int] = None) -> List[List[int]]:
     """The dispatch layout of one batch over ``jobs`` workers.
 
-    By default tasks are *cost-packed* (:func:`pack_chunks` over
-    :func:`task_cost`) into ~4 chunks per worker, balanced by expected
-    cost rather than count — a heterogeneous sweep (or the cache-miss
-    remainder of a resumed one) can't degenerate into one straggler
-    chunk holding all the expensive runs.  An explicit ``chunk_size``
-    opts into contiguous count-based chunks instead (a test seam for
-    pinning exact chunk boundaries).
+    Chunks are made of whole :func:`~repro.exec.task.group_tasks`
+    units — a fluid unit's lanes always travel together, so the worker
+    integrates them in one call.  By default units are *cost-packed*
+    (:func:`pack_chunks` over :func:`unit_cost`) into ~4 chunks per
+    worker, balanced by expected cost rather than count — a
+    heterogeneous sweep (or the cache-miss remainder of a resumed one)
+    can't degenerate into one straggler chunk holding all the expensive
+    runs.  An explicit ``chunk_size`` opts into count-based chunks of
+    consecutive units, each at most ``chunk_size`` tasks unless one
+    unit alone is larger (a test seam for pinning exact chunk
+    boundaries).  Packet tasks are one unit each, so a packet-only
+    batch chunks exactly as it would task by task.
     """
+    units = group_tasks(tasks)
     if chunk_size is not None:
         size = max(chunk_size, 1)
-        return [list(range(lo, min(lo + size, len(tasks))))
-                for lo in range(0, len(tasks), size)]
-    n_chunks = min(len(tasks), jobs * 4)
-    return pack_chunks([task_cost(task) for task in tasks], n_chunks)
+        chunks: List[List[int]] = []
+        for unit in units:
+            if chunks and len(chunks[-1]) + len(unit) <= size:
+                chunks[-1].extend(unit)
+            else:
+                chunks.append(list(unit))
+        return [sorted(chunk) for chunk in chunks]
+    n_chunks = min(len(units), jobs * 4)
+    costs = [unit_cost([tasks[i] for i in unit]) for unit in units]
+    return [sorted(i for u in chunk for i in units[u])
+            for chunk in pack_chunks(costs, n_chunks)]
 
 
 class Executor:
@@ -204,8 +257,8 @@ class SerialExecutor(Executor):
             if task.backend != "fluid":
                 yield i, run_sim_task(task)
         if fluid:
-            # One vectorized call per seed batch; batch-invariance makes
-            # this bitwise-identical to running each task alone.
+            # One vectorized call per unit of lanes; lane invariance
+            # makes this bitwise-identical to running each task alone.
             yield from zip(fluid,
                            run_task_group([tasks[i] for i in fluid]))
 

@@ -64,7 +64,6 @@ import socket
 import struct
 import threading
 import time
-import traceback
 import uuid
 import warnings
 import zlib
@@ -76,9 +75,8 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 from . import faults
 from .executors import Executor, ProgressFn, chunk_tasks
 from .supervise import (RetryPolicy, SupervisedExecutor, _Assignment,
-                        _Dispatch, _Lease)
-from .task import (SimTask, SimTaskResult, cache_key, group_tasks,
-                   run_task_group)
+                        _Dispatch, _Lease, _run_units)
+from .task import SimTask, SimTaskResult, cache_key
 
 __all__ = ["FrameError", "RemoteExecutor", "RemoteStats", "WorkerServer",
            "add_workers_argument", "parse_workers", "recv_frame",
@@ -335,31 +333,26 @@ class WorkerServer:
         worker's (:func:`repro.exec.supervise._worker_main`)."""
         injector = self._active_injector()
         keys = [cache_key(task) for task in tasks]
-        for unit in group_tasks(tasks):
-            cached = [self._cache_get(cache, keys[j]) for j in unit]
-            if all(result is not None for result in cached):
+        todo = []
+        for j, key in enumerate(keys):
+            cached = self._cache_get(cache, key)
+            if cached is None:
+                todo.append(j)
+            else:
                 # Session replay: the task already ran here (its result
                 # was lost in flight) — answer from cache, skip in-task
                 # faults (the task is not re-executing).
-                outs = cached
-            else:
-                try:
-                    if injector is not None:
-                        for j in unit:
-                            injector.on_task(keys[j], attempt)
-                    outs = run_task_group([tasks[j] for j in unit])
-                except Exception as error:
-                    detail = (type(error).__name__, str(error),
-                              traceback.format_exc())
-                    for j in unit:
-                        send_frame(sock, ("failure", aid, positions[j],
-                                          detail))
-                    continue
-                for j, out in zip(unit, outs):
-                    self._cache_put(cache, keys[j], out)
-            for j, out in zip(unit, outs):
-                self._send_result(sock, injector, keys[j], attempt,
-                                  ("result", aid, positions[j], out))
+                self._send_result(sock, injector, key, attempt,
+                                  ("result", aid, positions[j], cached))
+        for k, out, detail in _run_units([tasks[j] for j in todo],
+                                         attempt, injector):
+            j = todo[k]
+            if detail is not None:
+                send_frame(sock, ("failure", aid, positions[j], detail))
+                continue
+            self._cache_put(cache, keys[j], out)
+            self._send_result(sock, injector, keys[j], attempt,
+                              ("result", aid, positions[j], out))
         send_frame(sock, ("done", aid))
 
     def _send_result(self, sock, injector, key: str, attempt: int,

@@ -159,6 +159,48 @@ def _send(conn, message) -> bool:
         return False
 
 
+def _run_units(tasks: Sequence[SimTask], attempt: int, injector=None
+               ) -> Iterator[Tuple[int, Optional[SimTaskResult],
+                                   Optional[Tuple[str, str, str]]]]:
+    """Run one assignment's tasks unit by unit (both transports' worker
+    side), yielding ``(j, result, None)`` or ``(j, None, (error_type,
+    message, traceback))`` for each task ``j`` as its unit completes.
+
+    Each task's scheduled in-task fault (``injector``) fires just
+    before its unit runs.  A unit of several tasks that raises is
+    re-run one member at a time, so the exception is reported only for
+    the member(s) that raise alone — an innocent unit-mate of a poison
+    task still returns its result (bitwise equal to a solo run, by
+    lane invariance) instead of sharing the failure.
+    """
+    def run(unit: List[int]) -> List[SimTaskResult]:
+        if injector is not None:
+            for j in unit:
+                injector.on_task(cache_key(tasks[j]), attempt)
+        return run_task_group([tasks[j] for j in unit])
+
+    for unit in group_tasks(tasks):
+        try:
+            outs = run(unit)
+        except Exception as error:
+            detail = (type(error).__name__, str(error),
+                      traceback.format_exc())
+        else:
+            yield from ((j, out, None) for j, out in zip(unit, outs))
+            continue
+        if len(unit) == 1:
+            yield unit[0], None, detail
+            continue
+        for j in unit:
+            try:
+                out = run([j])[0]
+            except Exception as error:
+                yield j, None, (type(error).__name__, str(error),
+                                traceback.format_exc())
+            else:
+                yield j, out, None
+
+
 def _worker_main(inbox, results) -> None:
     """Worker loop: run assignments, ack per task, report exceptions.
 
@@ -173,9 +215,9 @@ def _worker_main(inbox, results) -> None:
       may itself fail to unpickle).
     * ``("done", aid)`` — assignment finished, worker is idle.
 
-    Tasks run unit by unit (:func:`~repro.exec.task.group_tasks`), not
-    as one call per assignment, so every task is acknowledged as it
-    completes and a crash never loses already-finished work.
+    Tasks run unit by unit (:func:`_run_units`), not as one call per
+    assignment, so every task is acknowledged as it completes and a
+    crash never loses already-finished work.
     """
     faults.mark_worker_process()
     try:
@@ -190,22 +232,11 @@ def _worker_main(inbox, results) -> None:
         if message is None:
             return
         aid, attempt, positions, tasks = message
-        for unit in group_tasks(tasks):
-            try:
-                if injector is not None:
-                    for j in unit:
-                        injector.on_task(cache_key(tasks[j]), attempt)
-                outs = run_task_group([tasks[j] for j in unit])
-            except Exception as error:
-                detail = (type(error).__name__, str(error),
-                          traceback.format_exc())
-                if not all(_send(results, ("failure", aid, positions[j],
-                                           detail)) for j in unit):
-                    return
-                continue
-            for j, out in zip(unit, outs):
-                if not _send(results, ("result", aid, positions[j], out)):
-                    return
+        for j, out, detail in _run_units(tasks, attempt, injector):
+            reply = (("result", aid, positions[j], out) if detail is None
+                     else ("failure", aid, positions[j], detail))
+            if not _send(results, reply):
+                return
         if not _send(results, ("done", aid)):
             return
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["SimTask", "SimTaskResult", "TaskFailure", "run_sim_task",
-           "run_task_group", "group_tasks", "cache_key", "BACKENDS"]
+           "run_task_group", "group_tasks", "fluid_shape", "cache_key",
+           "BACKENDS", "FLUID_UNIT_CELLS"]
 
 #: Simulation backends a task may select.  ``"packet"`` is the exact
 #: event-driven engine (the source of truth); ``"fluid"`` is the
@@ -74,6 +75,11 @@ class SimTask:
             cfg = config if isinstance(config, NetworkConfig) \
                 else NetworkConfig.from_dict(config_dict)
             reason = fluid_refusal(cfg, tree_kinds=[k for k, _ in pairs])
+            if reason is None and record_usage:
+                reason = ("per-whisker usage recording is packet-only "
+                          "(the fluid model has no usage "
+                          "instrumentation); build the task with "
+                          "record_usage=False or backend='packet'")
             if reason is not None:
                 raise ValueError(
                     f"backend 'fluid' cannot run this task: {reason}")
@@ -191,8 +197,6 @@ def run_sim_task(task: SimTask) -> SimTaskResult:
         from ..sim.fluid import simulate_fluid
         run = simulate_fluid(config, trees=trees, seeds=(task.seed,),
                              duration_s=task.duration_s)[0]
-        # The fluid model has no per-whisker usage instrumentation;
-        # usage-recording consumers must stay on the packet backend.
         return SimTaskResult(run=run)
     handle = build_simulation(config, trees=trees, seed=task.seed,
                               record_usage=task.record_usage)
@@ -204,15 +208,34 @@ def run_sim_task(task: SimTask) -> SimTaskResult:
     return SimTaskResult(run=run, usage_counts=counts, usage_sums=sums)
 
 
+#: Most ``(lane, flow)`` cells one fluid unit integrates: a unit of
+#: ``N``-sender lanes holds at most ``max(1, FLUID_UNIT_CELLS // N)``
+#: lanes, so no unit costs more memory or step time than one
+#: 1000-sender solo run (measured in docs/PERFORMANCE.md).
+FLUID_UNIT_CELLS = 1024
+
+
+def fluid_shape(task: SimTask) -> Tuple:
+    """What every lane of one fluid unit shares: the config minus its
+    sender population (kinds and deltas), the sender count, and the
+    duration — everything that fixes the time step, lag lines and
+    capacity arrays."""
+    shape = {key: value for key, value in task.config.items()
+             if key not in ("sender_kinds", "deltas")}
+    return (json.dumps(shape, sort_keys=True, separators=(",", ":")),
+            len(task.config["sender_kinds"]), task.duration_s)
+
+
 def group_tasks(tasks: Sequence[SimTask]) -> List[List[int]]:
     """Split ``tasks`` into execution units (lists of task indices).
 
-    Every packet task is a unit of its own, in task order; fluid tasks
-    that differ only by seed follow as one unit per (config, trees,
-    duration) group, evaluable by a single vectorized
-    :func:`~repro.sim.fluid.simulate_fluid` call.  Workers run and
-    acknowledge unit by unit, which is what gives the dispatchers their
-    per-task heartbeat.
+    Every packet task is a unit of its own, in task order.  Fluid tasks
+    follow, grouped by :func:`fluid_shape` — whatever their schemes,
+    rule tables and seeds — into units of at most
+    ``max(1, FLUID_UNIT_CELLS // senders)`` lanes, each evaluable by a
+    single vectorized :func:`~repro.sim.fluid.simulate_fluid` call.
+    Workers run and acknowledge unit by unit, which is what gives the
+    dispatchers their per-task heartbeat.
     """
     units: List[List[int]] = []
     fluid: Dict[Tuple, List[int]] = {}
@@ -220,24 +243,24 @@ def group_tasks(tasks: Sequence[SimTask]) -> List[List[int]]:
         if task.backend != "fluid":
             units.append([i])
             continue
-        key = (json.dumps(task.config, sort_keys=True,
-                          separators=(",", ":")),
-               task.trees, task.duration_s, task.record_usage)
-        fluid.setdefault(key, []).append(i)
-    units.extend(fluid.values())
+        fluid.setdefault(fluid_shape(task), []).append(i)
+    for (_, senders, _), members in fluid.items():
+        cap = max(1, FLUID_UNIT_CELLS // senders)
+        units.extend(members[lo:lo + cap]
+                     for lo in range(0, len(members), cap))
     return units
 
 
 def run_task_group(tasks: Sequence[SimTask]) -> List[SimTaskResult]:
-    """Execute a batch of tasks, vectorizing fluid seed batches.
+    """Execute a batch of tasks, vectorizing fluid lanes.
 
-    Packet tasks run one at a time through :func:`run_sim_task`.  Fluid
-    tasks that differ only by seed (one :func:`group_tasks` unit) are
-    evaluated by a single :func:`~repro.sim.fluid.simulate_fluid` call.
-    Because the fluid integrator is batch-invariant (elementwise across
-    seeds), the grouped results are bitwise-identical to running each
-    task alone, so every executor may route through here without
-    weakening the determinism contract.
+    Packet tasks run one at a time through :func:`run_sim_task`.  The
+    fluid tasks of one :func:`group_tasks` unit become the lanes of a
+    single :func:`~repro.sim.fluid.simulate_fluid` call.  Because the
+    fluid integrator is lane-invariant (elementwise across lanes), the
+    grouped results are bitwise-identical to running each task alone,
+    so every executor may route through here without weakening the
+    determinism contract.
     """
     from ..core.scenario import NetworkConfig
     from ..remy.compiled import compiled_from_json
@@ -249,16 +272,27 @@ def run_task_group(tasks: Sequence[SimTask]) -> List[SimTaskResult]:
         if first.backend != "fluid":
             results[indices[0]] = run_sim_task(first)
             continue
-        from ..sim.fluid import simulate_fluid
-        trees: Dict[str, WhiskerTree] = {}
-        for kind, text in first.trees:
-            tree = WhiskerTree.from_json(text)
-            tree.adopt_compiled(compiled_from_json(text))
-            trees[kind] = tree
-        config = NetworkConfig.from_dict(first.config)
-        seeds = [tasks[i].seed for i in indices]
-        runs = simulate_fluid(config, trees=trees, seeds=seeds,
-                              duration_s=first.duration_s)
+        from ..sim import fluid
+        parsed: Dict[str, WhiskerTree] = {}
+        lanes = []
+        for i in indices:
+            trees: Dict[str, WhiskerTree] = {}
+            for kind, text in tasks[i].trees:
+                if text not in parsed:
+                    tree = WhiskerTree.from_json(text)
+                    tree.adopt_compiled(compiled_from_json(text))
+                    parsed[text] = tree
+                trees[kind] = parsed[text]
+            config = NetworkConfig.from_dict(tasks[i].config)
+            lanes.append(fluid.FluidLane(config.sender_kinds,
+                                         config.deltas, trees,
+                                         tasks[i].seed))
+        # Looked up on the module at call time: the shared config
+        # (first lane's, carrying the unit's sender count) is the
+        # positional argument tracers see.
+        runs = fluid.simulate_fluid(NetworkConfig.from_dict(first.config),
+                                    lanes=lanes,
+                                    duration_s=first.duration_s)
         for i, run in zip(indices, runs):
             results[i] = SimTaskResult(run=run)
     return results  # type: ignore[return-value]

@@ -5,8 +5,10 @@ the reproduction's source of truth: it simulates every packet, ACK and
 queue event exactly.  This module trades that exactness for throughput:
 it advances per-flow congestion windows and per-queue occupancy in fixed
 time steps of ``dt`` seconds, numpy-vectorized across senders *and*
-seeds — one array program evaluates a whole seed batch, at sender
-counts (hundreds to thousands) the event-driven engine cannot touch.
+lanes — one array program evaluates a whole batch of runs that share a
+network shape (each lane with its own schemes, rule tables and seed),
+at sender counts (hundreds to thousands) the event-driven engine cannot
+touch.
 
 What is modeled
 ---------------
@@ -39,35 +41,47 @@ What is modeled
 
 What is **not** modeled: retransmission timeouts and RTO backoff,
 sub-RTT burstiness (dynamics are smoothed over ``dt``), and per-whisker
-usage recording (fluid tasks return empty usage stats).  The packet
-engine stays authoritative; ``docs/PERFORMANCE.md`` documents the
-committed fluid-vs-packet tolerance bands and when the two backends are
-not comparable.
+usage recording (``SimTask.build`` refuses usage-recording fluid
+tasks).  The packet engine stays authoritative; ``docs/PERFORMANCE.md``
+documents the committed fluid-vs-packet tolerance bands and when the
+two backends are not comparable.
 
 Determinism
 -----------
-Every update is elementwise over ``(seeds, flows)`` arrays or a
-reduction along the flow axis of one seed's row, so a seed evaluated
-alone is bitwise-identical to the same seed inside a batch — the
-executors' determinism contract extends to seed-batched fluid runs.
-Float reductions go through :func:`_flow_sum`, which sums each seed's
+Every update is elementwise over ``(lanes, flows)`` arrays or a
+reduction along the flow axis of one lane's row, so a lane evaluated
+alone is bitwise-identical to the same lane inside a batch — the
+executors' determinism contract extends to lane-batched fluid runs.
+Float reductions go through :func:`_flow_sum`, which sums each lane's
 row contiguously: numpy adds a strided axis sequentially but a
-contiguous one pairwise, so summing a non-contiguous ``(seeds, flows)``
-view would round differently with one seed row than with several.
+contiguous one pairwise, so summing a non-contiguous ``(lanes, flows)``
+view would round differently with one lane row than with several.
+
+Layout
+------
+Per-step overhead (~150 numpy calls) is paid once per call, however
+many lanes it carries.  History rings are stored position-first and
+per-hop state hop-first, and each link's member indexers and each lag
+position are built once at setup: where every flow shares the hop and
+the lag (every dumbbell), reads and writes are basic slices of
+contiguous ``(lanes, flows)`` blocks rather than fancy-index gathers;
+the parking lot keeps index arrays.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from ..core.results import FlowStats, RunResult
 from ..core.scenario import NetworkConfig
 
-__all__ = ["simulate_fluid", "fluid_dt", "fluid_refusal", "FLUID_SCHEMES"]
+__all__ = ["simulate_fluid", "fluid_dt", "fluid_refusal", "FluidLane",
+           "FLUID_SCHEMES"]
 
 _PKT = 1500.0              # on-the-wire data packet bytes
 _PKT_BITS = _PKT * 8.0
@@ -137,8 +151,11 @@ def _base_delays(config: NetworkConfig):
         flow_links = [[0, 1], [0], [1]]
         rev_prop = [2.0 * d, d, d]
     tx = [_PKT_BITS / c for c in caps]
-    base_oneway = [sum(props[l] + tx[l] for l in flow_links[f])
-                   for f in range(n)]
+    path_delay = {}                     # one sum per distinct path
+    for links in flow_links:
+        if tuple(links) not in path_delay:
+            path_delay[tuple(links)] = sum(props[l] + tx[l] for l in links)
+    base_oneway = [path_delay[tuple(links)] for links in flow_links]
     base_rtt = [base_oneway[f] + rev_prop[f] for f in range(n)]
     return base_oneway, base_rtt, flow_links, caps, props, rev_prop
 
@@ -185,37 +202,110 @@ def _flow_schedule(seed: int, flow: int, mean_on: float, mean_off: float,
 
 
 # ----------------------------------------------------------------------
-# Compiled-tree batch lookup
+# Lanes and the compiled-tree forest
 # ----------------------------------------------------------------------
 
-class _NumpyTree:
-    """A :class:`~repro.remy.compiled.CompiledTree` as numpy arrays,
-    plus the iterative masked descent that looks up many signal vectors
-    at once."""
+class FluidLane(NamedTuple):
+    """One independent run inside a :func:`simulate_fluid` call.
 
-    def __init__(self, compiled):
-        self.root_ref = compiled.root_ref
-        self.dims = np.asarray(compiled.dims, dtype=np.int64)
-        self.thresholds = np.asarray(compiled.thresholds, dtype=np.float64)
-        self.left = np.asarray(compiled.left, dtype=np.int64)
-        self.right = np.asarray(compiled.right, dtype=np.int64)
-        self.m = np.asarray(compiled.action_m, dtype=np.float64)
-        self.b = np.asarray(compiled.action_b, dtype=np.float64)
-        self.tau = np.asarray(compiled.action_tau, dtype=np.float64)
+    Every lane of a call shares the call's network *shape* — the config
+    minus its sender population, plus the duration — so the time step,
+    lag lines and capacity arrays are common.  Each lane brings its own
+    sender kinds (as many as the config has senders), per-flow deltas,
+    ``{kind: WhiskerTree}`` rule tables, and workload seed.
+    """
 
-    def lookup(self, signals: np.ndarray) -> np.ndarray:
-        """Leaf indices for a ``(M, 4)`` batch of clipped signals."""
-        node = np.full(signals.shape[0], self.root_ref, dtype=np.int64)
-        if self.dims.size == 0:          # single-leaf tree
-            return np.zeros(signals.shape[0], dtype=np.int64)
-        while True:
-            internal = node >= 0
-            if not internal.any():
-                break
-            idx = node[internal]
-            sig = signals[internal, self.dims[idx]]
-            node[internal] = np.where(sig < self.thresholds[idx],
-                                      self.left[idx], self.right[idx])
+    sender_kinds: Tuple[str, ...]
+    deltas: Tuple[float, ...]
+    trees: Mapping[str, object]
+    seed: int
+
+
+class _Forest:
+    """Compiled trees concatenated into one set of numpy arrays.
+
+    Component ``k`` keeps its own root (``roots[k]``); child references
+    are shifted by the preceding components' node and leaf counts, so
+    one lookup serves signal vectors from every lane at once, each
+    descending from its own tree's root.
+    """
+
+    def __init__(self, compiled_trees: Sequence[object]):
+        dims: List[int] = []
+        thresholds: List[float] = []
+        left: List[int] = []
+        right: List[int] = []
+        m: List[float] = []
+        b: List[float] = []
+        tau: List[float] = []
+        roots: List[int] = []
+        for compiled in compiled_trees:
+            nodes, leaves = len(dims), len(m)
+
+            def shift(ref: int) -> int:
+                return ref + nodes if ref >= 0 else ~(~ref + leaves)
+
+            roots.append(shift(compiled.root_ref))
+            dims.extend(compiled.dims)
+            thresholds.extend(compiled.thresholds)
+            left.extend(shift(ref) for ref in compiled.left)
+            right.extend(shift(ref) for ref in compiled.right)
+            m.extend(compiled.action_m)
+            b.extend(compiled.action_b)
+            tau.extend(compiled.action_tau)
+        # Leaf boxes: the descent goes left while sig[dim] < threshold,
+        # so each leaf owns lower <= sig < upper in every dimension.
+        self.lower = np.full((len(m), 4), -np.inf)
+        self.upper = np.full((len(m), 4), np.inf)
+        stack = [(root, (-np.inf,) * 4, (np.inf,) * 4) for root in roots]
+        while stack:
+            ref, lo, hi = stack.pop()
+            if ref < 0:
+                self.lower[~ref], self.upper[~ref] = lo, hi
+                continue
+            d, cut = dims[ref], thresholds[ref]
+            stack.append((left[ref], lo,
+                          hi[:d] + (min(hi[d], cut),) + hi[d + 1:]))
+            stack.append((right[ref],
+                          lo[:d] + (max(lo[d], cut),) + lo[d + 1:], hi))
+        self.roots = np.asarray(roots, dtype=np.int64)
+        self.dims = np.asarray(dims, dtype=np.int64)
+        self.thresholds = np.asarray(thresholds, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.m = np.asarray(m, dtype=np.float64)
+        self.b = np.asarray(b, dtype=np.float64)
+        self.tau = np.asarray(tau, dtype=np.float64)
+
+    def lookup(self, roots: np.ndarray, signals: np.ndarray,
+               hints: np.ndarray) -> np.ndarray:
+        """Leaf indices for ``(M, 4)`` clipped signals.
+
+        ``hints`` holds each vector's previous leaf (``-1``: none).  A
+        leaf's box is exactly the set of signals the descent sends to
+        it, so a vector still inside its hint's box keeps that leaf;
+        only the rest descend from their ``roots``.
+        """
+        leaf = hints.copy()
+        inside = ((leaf >= 0)
+                  & (self.lower[leaf] <= signals).all(axis=1)
+                  & (signals < self.upper[leaf]).all(axis=1))
+        miss = np.flatnonzero(~inside)
+        if miss.size:
+            leaf[miss] = self._descend(roots[miss], signals[miss])
+        return leaf
+
+    def _descend(self, roots: np.ndarray, signals: np.ndarray
+                 ) -> np.ndarray:
+        node = roots.copy()
+        live = np.flatnonzero(node >= 0)
+        while live.size:
+            idx = node[live]
+            child = np.where(signals[live, self.dims[idx]]
+                             < self.thresholds[idx],
+                             self.left[idx], self.right[idx])
+            node[live] = child
+            live = live[child >= 0]
         return ~node
 
 
@@ -254,62 +344,109 @@ def fluid_refusal(config: NetworkConfig,
     return None
 
 
-def _scheme_families(config: NetworkConfig, trees: Dict[str, object]):
-    """Map sender kinds to fluid families; returns (family[N], groups)
-    where groups maps a tree to its flow indices."""
-    family = np.empty(config.num_senders, dtype=np.int64)
-    tree_groups: Dict[int, Tuple[object, List[int]]] = {}
-    for i, kind in enumerate(config.sender_kinds):
-        if kind in trees:
-            family[i] = _F_REMY
-            tree = trees[kind]
-            entry = tree_groups.setdefault(id(tree), (tree, []))
-            entry[1].append(i)
-        elif kind in ("newreno", "aimd"):
-            family[i] = _F_RENO
-        elif kind == "cubic":
-            family[i] = _F_CUBIC
-        elif kind == "vegas":
-            family[i] = _F_VEGAS
-        elif kind == "dctcp":
-            family[i] = _F_DCTCP
-        else:
-            raise ValueError(
-                f"fluid backend cannot run scheme {kind!r} "
-                f"(packet-only); supported: rule-table kinds plus "
-                f"{FLUID_SCHEMES}")
-    return family, list(tree_groups.values())
+_FAMILY = {"newreno": _F_RENO, "aimd": _F_RENO, "cubic": _F_CUBIC,
+           "vegas": _F_VEGAS, "dctcp": _F_DCTCP}
+
+
+def _lane_families(lanes: Sequence[FluidLane], n: int):
+    """Per-(lane, flow) scheme families, plus the forest of every rule
+    table in use and each flow's root in it (``None`` without tables)."""
+    family = np.empty((len(lanes), n), dtype=np.int64)
+    component = np.zeros((len(lanes), n), dtype=np.int64)
+    compiled_trees: List[object] = []
+    seen: Dict[int, int] = {}
+    for li, lane in enumerate(lanes):
+        for i, kind in enumerate(lane.sender_kinds):
+            if kind in lane.trees:
+                compiled = lane.trees[kind].compiled()
+                if id(compiled) not in seen:
+                    seen[id(compiled)] = len(compiled_trees)
+                    compiled_trees.append(compiled)
+                family[li, i] = _F_REMY
+                component[li, i] = seen[id(compiled)]
+            elif kind in _FAMILY:
+                family[li, i] = _FAMILY[kind]
+            else:
+                raise ValueError(
+                    f"fluid backend cannot run scheme {kind!r} "
+                    f"(packet-only); supported: rule-table kinds plus "
+                    f"{FLUID_SCHEMES}")
+    if not compiled_trees:
+        return family, None, None
+    forest = _Forest(compiled_trees)
+    return family, forest, forest.roots[component]
+
+
+def _lag_reader(lags: np.ndarray, hops: np.ndarray, ring_len: int,
+                lane_col: np.ndarray, flow_row: np.ndarray):
+    """``at(step)`` -> index tuples reading every flow's history at its
+    own lag: one for the ``(K, lanes, flows)`` rings and one for the
+    ``(K, hops, lanes, flows)`` departure ring (at each flow's ``hops``
+    entry).  With one lag and one hop for every flow (the dumbbell) the
+    indices are a scalar ring position — basic slices, no gather."""
+    if (lags == lags[0]).all() and (hops == hops[0]).all():
+        lag, hop = int(lags[0]), int(hops[0])
+
+        def at(step: int):
+            pos = (step - lag) % ring_len
+            return pos, (pos, hop)
+    else:
+        hop_row = hops[None, :]
+
+        def at(step: int):
+            pos = ((step - lags) % ring_len)[None, :]
+            return ((pos, lane_col, flow_row),
+                    (pos, hop_row, lane_col, flow_row))
+    return at
 
 
 def simulate_fluid(config: NetworkConfig,
                    trees: Optional[Dict[str, object]] = None,
                    seeds: Sequence[int] = (0,),
-                   duration_s: float = 10.0) -> List[RunResult]:
-    """Run ``config`` on the fluid backend for every seed in ``seeds``.
+                   duration_s: float = 10.0,
+                   lanes: Optional[Sequence[FluidLane]] = None
+                   ) -> List[RunResult]:
+    """Run ``config`` on the fluid backend, one result per lane.
 
-    One array program advances the whole ``(seed, flow)`` grid; the
-    returned :class:`~repro.core.results.RunResult` list is aligned with
-    ``seeds`` and bitwise-independent of how seeds are batched.
+    Without ``lanes`` every seed in ``seeds`` is a lane running
+    ``config``'s own senders with ``trees``.  With ``lanes`` (which then
+    replaces ``trees`` and ``seeds``), ``config`` supplies the shared
+    shape and its sender count; each lane supplies its senders, rule
+    tables and seed.  One array program advances the whole
+    ``(lane, flow)`` grid; the returned
+    :class:`~repro.core.results.RunResult` list is aligned with the
+    lanes and bitwise-independent of how lanes are batched.
     """
-    trees = trees or {}
-    refusal = fluid_refusal(config, tree_kinds=tuple(trees))
-    if refusal is not None:
-        raise ValueError(f"fluid backend cannot run this scenario: "
-                         f"{refusal}")
-    S = len(seeds)
+    if lanes is None:
+        lanes = [FluidLane(config.sender_kinds, config.deltas,
+                           trees or {}, seed) for seed in seeds]
+    elif trees is not None:
+        raise ValueError("pass rule tables per lane, not as trees=")
+    lanes = list(lanes)
+    S = len(lanes)
     N = config.num_senders
+    for lane in lanes:
+        if len(lane.sender_kinds) != N:
+            raise ValueError(
+                f"lane has {len(lane.sender_kinds)} senders; the "
+                f"shared config has {N}")
+        refusal = fluid_refusal(
+            config.with_senders(tuple(lane.sender_kinds),
+                                tuple(lane.deltas)),
+            tree_kinds=tuple(lane.trees))
+        if refusal is not None:
+            raise ValueError(f"fluid backend cannot run this scenario: "
+                             f"{refusal}")
     base_oneway, base_rtt_l, flow_links, caps_l, props, rev_prop = \
         _base_delays(config)
-    family, tree_groups = _scheme_families(config, trees)
-    np_trees = [( _NumpyTree(tree.compiled()), np.asarray(flows, dtype=np.int64))
-                for tree, flows in tree_groups]
+    family, forest, tree_root = _lane_families(lanes, N)
 
     dt = fluid_dt(config)
     n_steps = max(int(round(duration_s / dt)), 1)
     dt = duration_s / n_steps
 
     L = len(caps_l)
-    caps = np.asarray(caps_l, dtype=np.float64)              # bytes? no: bps
+    caps = np.asarray(caps_l, dtype=np.float64)              # bps
     caps_Bps = caps / 8.0
     buffers = np.asarray(
         [config.buffer_packets(l) * _PKT if math.isfinite(
@@ -322,42 +459,62 @@ def simulate_fluid(config: NetworkConfig,
                           dtype=np.int64)
     base_rtt = np.asarray(base_rtt_l, dtype=np.float64)
     base_ow = np.asarray(base_oneway, dtype=np.float64)
-
-    # Per-link member (flow, hop) index arrays.
-    members: List[Tuple[np.ndarray, np.ndarray]] = []
-    for l in range(L):
-        fidx = [f for f in range(N) for h in range(H)
-                if hop_link[f, h] == l]
-        hidx = [h for f in range(N) for h in range(H)
-                if hop_link[f, h] == l]
-        members.append((np.asarray(fidx, dtype=np.int64),
-                        np.asarray(hidx, dtype=np.int64)))
     is_sfq = config.queue == "sfq_codel"
     is_codel = config.queue == "codel"
 
     # Lag lines (in steps).  Delivery and ACK lags are floored at one
     # step: the step loop reads them *before* writing the current step,
     # so a lag of at least 1 always reads a completed past step.
-    lag_hop = np.zeros((N, H), dtype=np.int64)
-    for f in range(N):
-        for h, l in enumerate(flow_links[f]):
-            lag_hop[f, h] = int(round(props[l] / dt))
-    lag_del = np.asarray(
-        [max(int(round(props[flow_links[f][-1]] / dt)), 1)
-         for f in range(N)], dtype=np.int64)
-    lag_ack = np.asarray(
-        [max(int(round((props[flow_links[f][-1]] + rev_prop[f]) / dt)),
-             1) for f in range(N)], dtype=np.int64)
+    # (np.round, like round(), breaks ties to even.)
+    props_arr = np.asarray(props, dtype=np.float64)
+    lag_hop = np.where(hop_link >= 0, np.round(props_arr[hop_link] / dt),
+                       0.0).astype(np.int64)
+    last_prop = props_arr[hop_link[np.arange(N), last_hop]]
+    lag_del = np.maximum(np.round(last_prop / dt), 1.0).astype(np.int64)
+    lag_ack = np.maximum(
+        np.round((last_prop + np.asarray(rev_prop)) / dt),
+        1.0).astype(np.int64)
     K = int(max(lag_hop.max(), lag_del.max(), lag_ack.max())) + 1
 
-    # Workload schedules (exact RNG replay, per (seed, flow)).
+    # History rings are stored position-first — ``(K, lanes, flows)``
+    # and ``(K, hops, lanes, flows)`` — and per-hop state hop-first, so
+    # a uniform lag or hop selects one contiguous ``(lanes, flows)``
+    # block.
+    s_idx = np.arange(S)
+    s_col = s_idx[:, None]
+    f_row = np.arange(N)[None, :]
+    read_del = _lag_reader(lag_del, last_hop, K, s_col, f_row)
+    read_ack = _lag_reader(lag_ack, last_hop, K, s_col, f_row)
+
+    # Per-link member indexers, built once: ``cols`` selects the members
+    # from a ``(lanes, flows)`` array and ``hops`` from a ``(hops, lanes,
+    # flows)`` one.  A link whose members are every flow at its first
+    # hop (every dumbbell) gets basic slices and takes the senders'
+    # ``inflow0`` directly; other links (the parking lot's) keep index
+    # arrays, and ``upstream`` says where their members' inflow comes
+    # from (hop-0 members: ``inflow0``; the rest: the previous hop's
+    # departures, one propagation lag back).
+    links = []
+    for l in range(L):
+        fidx, hidx = np.nonzero(hop_link == l)     # flow-major order
+        if len(fidx) == N and not hidx.any():
+            links.append((N, slice(None), (0, slice(None), slice(None)),
+                          None))
+            continue
+        h_prev = np.maximum(hidx - 1, 0)
+        upstream = (hidx == 0, fidx, h_prev[None, :],
+                    lag_hop[fidx, h_prev], fidx[None, :])
+        links.append((len(fidx), (slice(None), fidx),
+                      (hidx[None, :], s_col, fidx[None, :]), upstream))
+
+    # Workload schedules (exact RNG replay, per (lane, flow)).
     max_tog = 1
     toggles_py: List[List[List[float]]] = []
     on_time = np.zeros((S, N))
-    for si, seed in enumerate(seeds):
+    for si, lane in enumerate(lanes):
         row = []
         for f in range(N):
-            tog, ot = _flow_schedule(seed, f, config.mean_on_s,
+            tog, ot = _flow_schedule(lane.seed, f, config.mean_on_s,
                                      config.mean_off_s, duration_s)
             on_time[si, f] = ot
             row.append(tog)
@@ -369,6 +526,9 @@ def simulate_fluid(config: NetworkConfig,
             tog = toggles_py[si][f]
             toggles[si, f, :len(tog)] = tog
     ptr = np.zeros((S, N), dtype=np.int64)
+    toggle_row = np.arange(S * N).reshape(S, N) * max_tog
+    toggles = toggles.reshape(-1)
+    next_toggle = toggles[toggle_row]
 
     # Controller state.
     is_remy = family == _F_REMY
@@ -396,6 +556,7 @@ def simulate_fluid(config: NetworkConfig,
     have_rec = np.zeros(shp, dtype=bool)
     min_rtt = np.full(shp, np.inf)
     rtt_ratio = np.ones(shp)
+    last_leaf = np.full(shp, -1, dtype=np.int64)  # lookup hint
     # Cubic.
     cb_epoch = np.full(shp, np.nan)
     cb_wmax = np.zeros(shp)
@@ -419,21 +580,21 @@ def simulate_fluid(config: NetworkConfig,
     dc_marked = np.zeros(shp)
 
     # Queues and lag rings.
-    q = np.zeros((S, N, H))                      # bytes per (flow, hop)
-    dep_hist = np.zeros((S, N, H, K))            # departure rate, B/s
-    sent_hist = np.zeros((S, N, K))              # send rate, pkts/s
-    qd_hist = np.zeros((S, N, K))                # path queueing delay, s
-    loss_hist = np.zeros((S, N, K), dtype=bool)  # loss signals
-    drop_hist = np.zeros((S, N, K))              # dropped pkts per step
+    q = np.zeros((H, S, N))                      # bytes per (hop, flow)
+    dep_hist = np.zeros((K, H, S, N))            # departure rate, B/s
+    sent_hist = np.zeros((K, S, N))              # send rate, pkts/s
+    qd_hist = np.zeros((K, S, N))                # path queueing delay, s
+    loss_hist = np.zeros((K, S, N), dtype=bool)  # loss signals
+    drop_hist = np.zeros((K, S, N))              # dropped pkts per step
     # ECN: per-step CE-marking indicator, read on the ACK lag like
     # ``loss_hist`` (allocated only when ECN is on, so non-ECN runs
     # execute the exact pre-ECN program).
     ecn_thresh_bytes = (config.ecn_threshold * _PKT
                         if config.ecn_threshold is not None else None)
-    mark_hist = (np.zeros((S, N, K), dtype=bool)
+    mark_hist = (np.zeros((K, S, N), dtype=bool)
                  if ecn_thresh_bytes is not None else None)
     codel_above = np.zeros((S, L))               # FIFO-CoDel timers
-    codel_above_q = np.zeros((S, N, H))          # sfq per-bucket timers
+    codel_above_q = np.zeros((H, S, N))          # sfq per-bucket timers
 
     # Accumulators.  FIFO links get *exact* fluid latency: per-link
     # cumulative accepted-arrival and departure curves, inverted each
@@ -442,12 +603,14 @@ def simulate_fluid(config: NetworkConfig,
     # engine, which never counts packets still queued at run end.  sfq
     # buckets use the arrival-time fair-share approximation instead.
     delivered_bytes = np.zeros(shp)
-    wait_sum = np.zeros((S, N, H))               # pkt-weighted waits, s
-    wt_pkts = np.zeros((S, N, H))                # their packet weights
-    cum_arr = np.zeros((S, L, n_steps + 1))      # accepted bytes curve
-    cum_dep = np.zeros((S, L, n_steps + 1))      # departed bytes curve
+    wait_sum = np.zeros((H, S, N))               # pkt-weighted waits, s
+    wt_pkts = np.zeros((H, S, N))                # their packet weights
+    cum_arr = np.zeros((L, S, n_steps + 1))      # accepted bytes curve
+    cum_dep = np.zeros((L, S, n_steps + 1))      # departed bytes curve
+    # Flat offsets of each lane's row, for 1-D gathers at per-lane
+    # curve positions.
+    curve_row = s_idx * (n_steps + 1)
     tau_idx = np.zeros((S, L), dtype=np.int64)   # FIFO inversion ptr
-    s_idx = np.arange(S)
     # FIFO links also serve with *exact* FIFO flow composition:
     # departures at t carry the per-flow mix of the arrivals they
     # matched, read off per-flow arrival curves (tail drop falls on
@@ -455,18 +618,17 @@ def simulate_fluid(config: NetworkConfig,
     # when one flow's burst should starve another flow's deliveries,
     # as it does behind a deep backlog; proportional sharing would let
     # the starved flow keep draining.  sfq links keep fair-share
-    # service, which is their actual discipline.
+    # service, which is their actual discipline.  The curves are
+    # ``(lanes, steps, members)``, so one lane's level at one step is a
+    # contiguous row.
     cum_arr_f = {} if is_sfq else {
-        l: np.zeros((S, len(members[l][0]), n_steps + 1))
-        for l in range(L)}
-    prev_v = {l: np.zeros((S, len(members[l][0])))
-              for l in cum_arr_f}
+        l: np.zeros((S, n_steps + 1, links[l][0])) for l in range(L)}
+    prev_v = {l: np.zeros((S, links[l][0])) for l in cum_arr_f}
     tau_hi = np.zeros((S, L), dtype=np.int64)    # composition ptr
     sent_pkts = np.zeros(shp)
     drop_bytes = np.zeros((S, L))
     link_out_bytes = np.zeros((S, L))
 
-    arange_n = np.arange(N)
     inv_caps_Bps = 1.0 / caps_Bps
 
     # Link dynamics: piecewise-constant per-step capacity arrays.  A
@@ -507,9 +669,7 @@ def simulate_fluid(config: NetworkConfig,
             inv_now = inv_caps_step[step]
         # -- 1. workload toggles due at or before t --------------------
         while True:
-            nxt = np.take_along_axis(toggles, ptr[..., None],
-                                     axis=2)[..., 0]
-            due = nxt <= t
+            due = next_toggle <= t
             if not due.any():
                 break
             turning_on = due & (ptr % 2 == 0)
@@ -530,20 +690,19 @@ def simulate_fluid(config: NetworkConfig,
                 ssthresh = np.where(f_on, np.inf, ssthresh)
             started |= turning_on
             ptr += due
+            next_toggle = toggles[toggle_row + ptr]
 
         # -- 2. current path queueing delay (from last step's queues) --
         qlink = np.empty((S, L))
         path_qd = np.zeros(shp)
-        for l, (fidx, hidx) in enumerate(members):
-            q_mem = q[:, fidx, hidx]
+        for l, (_, cols, hops, _) in enumerate(links):
+            q_mem = q[hops]
             qlink[:, l] = _flow_sum(q_mem)
             if is_sfq:
                 n_act = np.maximum((q_mem > 0).sum(axis=1), 1)
-                path_qd[:, fidx] += q_mem * (n_act[:, None]
-                                             * inv_now[l])
+                path_qd[cols] += q_mem * (n_act[:, None] * inv_now[l])
             else:
-                path_qd[:, fidx] += (qlink[:, l]
-                                     * inv_now[l])[:, None]
+                path_qd[cols] += (qlink[:, l] * inv_now[l])[:, None]
         rtt_est = base_rtt[None, :] + path_qd
 
         # -- 3. delivery and the ACK clock (lagged streams) ------------
@@ -551,22 +710,19 @@ def simulate_fluid(config: NetworkConfig,
         # this step's ACK arrivals before this step's sends, exactly as
         # the event-driven sender transmits from inside the ACK handler.
         pos_now = step % K
-        pos_del = (step - lag_del) % K
-        dep_del = dep_hist[:, arange_n, last_hop, pos_del]
-        delivered_bytes += dep_del * dt
-        pos_ack = (step - lag_ack) % K
-        acks = dep_hist[:, arange_n, last_hop, pos_ack] * (dt / _PKT)
+        _, dep_ix = read_del(step)
+        delivered_bytes += dep_hist[dep_ix] * dt
+        ack_ix, dep_ix = read_ack(step)
+        acks = dep_hist[dep_ix] * (dt / _PKT)
         inflight = np.maximum(inflight - acks, 0.0)
         # Dropped packets never produce ACKs; release them from the
         # window on the same lagged clock the packet transport's loss
         # detection runs on.
-        inflight = np.maximum(
-            inflight - drop_hist[:, arange_n, pos_ack], 0.0)
-        loss = loss_hist[:, arange_n, pos_ack]
-        sent_lag = sent_hist[:, arange_n, pos_ack]
-        rtt_sample = base_rtt[None, :] + qd_hist[:, arange_n, pos_ack]
-        marked = (mark_hist[:, arange_n, pos_ack]
-                  if mark_hist is not None else None)
+        inflight = np.maximum(inflight - drop_hist[ack_ix], 0.0)
+        loss = loss_hist[ack_ix]
+        sent_lag = sent_hist[ack_ix]
+        rtt_sample = base_rtt[None, :] + qd_hist[ack_ix]
+        marked = mark_hist[ack_ix] if mark_hist is not None else None
 
         # -- 4. loss reactions (multiplicative decrease) ---------------
         lost = loss & started & (t >= recover_until)
@@ -697,60 +853,63 @@ def simulate_fluid(config: NetworkConfig,
         # -- 6. RemyCC: memory signals, batched lookup, action ---------
         m_ack = acked & is_remy
         if m_ack.any():
-            x = np.divide(dt, acks, where=m_ack,
-                          out=np.zeros_like(acks))
+            # Only the acked RemyCC cells change: gather them, update,
+            # scatter back, through flat views (every ``(lanes, flows)``
+            # state array is a fresh, C-contiguous ufunc output, so
+            # ``reshape(-1)`` is a view and 1-D indexing is cheap).
+            cells = np.flatnonzero(m_ack)
+            n_l = acks.reshape(-1)[cells]
+            x = dt / n_l
             # ACK interarrival EWMAs, per-ACK folds compounded:
             # n identical folds of gain g move the EWMA by 1-(1-g)^n.
-            seeded = m_ack & have_rec
-            first = m_ack & ~have_rec
-            fold_f = 1.0 - np.power(1.0 - _FAST_GAIN, acks)
-            fold_s = 1.0 - np.power(1.0 - _SLOW_GAIN, acks)
-            rec_ewma = np.where(seeded,
-                                rec_ewma + fold_f * (x - rec_ewma),
-                                np.where(first, x, rec_ewma))
-            slow_ewma = np.where(seeded,
-                                 slow_ewma + fold_s * (x - slow_ewma),
-                                 np.where(first, x, slow_ewma))
-            have_rec |= m_ack
+            fold_f = 1.0 - np.power(1.0 - _FAST_GAIN, n_l)
+            fold_s = 1.0 - np.power(1.0 - _SLOW_GAIN, n_l)
+            seeded = have_rec.reshape(-1)[cells]
+            rec = rec_ewma.reshape(-1)[cells]
+            rec = np.where(seeded, rec + fold_f * (x - rec), x)
+            rec_ewma.reshape(-1)[cells] = rec
+            slow = slow_ewma.reshape(-1)[cells]
+            slow = np.where(seeded, slow + fold_s * (x - slow), x)
+            slow_ewma.reshape(-1)[cells] = slow
+            have_rec.reshape(-1)[cells] = True
             # Intersend EWMA from the echoed send timestamps: the ACKed
             # packets were sent ~1 RTT ago at the lagged send rate.
-            xs = np.divide(1.0, sent_lag, where=sent_lag > 0.0,
-                           out=np.zeros_like(sent_lag))
-            m_send = m_ack & (xs > 0.0)
-            send_ewma = np.where(
-                m_send & (send_ewma > 0.0),
-                send_ewma + fold_f * (xs - send_ewma),
-                np.where(m_send, xs, send_ewma))
-            min_rtt = np.where(m_ack, np.minimum(min_rtt, rtt_sample),
-                               min_rtt)
-            rtt_ratio = np.where(m_ack, rtt_sample
-                                 / np.where(np.isfinite(min_rtt),
-                                            min_rtt, 1.0), rtt_ratio)
-            for np_tree, flows in np_trees:
-                sub = m_ack[:, flows]             # (S, F)
-                if not sub.any():
-                    continue
-                si, fi = np.nonzero(sub)
-                fcols = flows[fi]
-                sig = np.stack([
-                    np.clip(rec_ewma[si, fcols], _SIG_LO[0], _CAP[0]),
-                    np.clip(slow_ewma[si, fcols], _SIG_LO[1], _CAP[1]),
-                    np.clip(send_ewma[si, fcols], _SIG_LO[2], _CAP[2]),
-                    np.clip(rtt_ratio[si, fcols], _SIG_LO[3], _CAP[3]),
-                ], axis=1)
-                leaf = np_tree.lookup(sig)
-                m_l = np_tree.m[leaf]
-                b_l = np_tree.b[leaf]
-                n_l = acks[si, fcols]
-                mm = np.power(m_l, n_l)
-                w_sel = w[si, fcols]
-                lin = np.abs(m_l - 1.0) < 1e-12
-                w_new = np.where(
-                    lin, w_sel + b_l * n_l,
-                    mm * w_sel + b_l * (1.0 - mm)
-                    / np.where(lin, 1.0, 1.0 - m_l))
-                w[si, fcols] = np.clip(w_new, 1.0, _REMY_MAX_WINDOW)
-                pace_tau[si, fcols] = np_tree.tau[leaf]
+            lagged = np.ravel(sent_lag)[cells]
+            xs = np.divide(1.0, lagged, where=lagged > 0.0,
+                           out=np.zeros_like(lagged))
+            m_send = xs > 0.0
+            send = send_ewma.reshape(-1)[cells]
+            send = np.where(m_send & (send > 0.0),
+                            send + fold_f * (xs - send),
+                            np.where(m_send, xs, send))
+            send_ewma.reshape(-1)[cells] = send
+            sample = rtt_sample.reshape(-1)[cells]
+            low = np.minimum(min_rtt.reshape(-1)[cells], sample)
+            min_rtt.reshape(-1)[cells] = low
+            ratio = sample / np.where(np.isfinite(low), low, 1.0)
+            rtt_ratio.reshape(-1)[cells] = ratio
+            # One lookup over every lane's trees, starting from each
+            # flow's previous leaf.
+            sig = np.stack([
+                np.clip(rec, _SIG_LO[0], _CAP[0]),
+                np.clip(slow, _SIG_LO[1], _CAP[1]),
+                np.clip(send, _SIG_LO[2], _CAP[2]),
+                np.clip(ratio, _SIG_LO[3], _CAP[3]),
+            ], axis=1)
+            leaf = forest.lookup(tree_root.reshape(-1)[cells], sig,
+                                 last_leaf.reshape(-1)[cells])
+            last_leaf.reshape(-1)[cells] = leaf
+            m_l = forest.m[leaf]
+            b_l = forest.b[leaf]
+            mm = np.power(m_l, n_l)
+            w_sel = w.reshape(-1)[cells]
+            lin = np.abs(m_l - 1.0) < 1e-12
+            w_new = np.where(
+                lin, w_sel + b_l * n_l,
+                mm * w_sel + b_l * (1.0 - mm)
+                / np.where(lin, 1.0, 1.0 - m_l))
+            w.reshape(-1)[cells] = np.clip(w_new, 1.0, _REMY_MAX_WINDOW)
+            pace_tau.reshape(-1)[cells] = forest.tau[leaf]
 
         # -- 7. send rates ---------------------------------------------
         pace_cap = np.where(pace_tau > 0.0, 1.0 /
@@ -764,28 +923,35 @@ def simulate_fluid(config: NetworkConfig,
         rate = np.where(on, np.minimum(deficit / dt, pace_cap), 0.0)
         sent_pkts += rate * dt
         inflight += rate * dt
-        sent_hist[:, :, pos_now] = rate
-        qd_hist[:, :, pos_now] = path_qd
+        sent_hist[pos_now] = rate
+        qd_hist[pos_now] = path_qd
 
         # -- 8. queues: arrivals, service, overflow, CoDel -------------
-        loss_hist[:, :, pos_now] = False
-        drop_hist[:, :, pos_now] = 0.0
+        loss_now = loss_hist[pos_now]
+        loss_now[...] = False
+        drop_now = drop_hist[pos_now]
+        drop_now[...] = 0.0
         if mark_hist is not None:
-            mark_hist[:, :, pos_now] = False
+            mark_now = mark_hist[pos_now]
+            mark_now[...] = False
+        dep_now = dep_hist[pos_now]
         inflow0 = rate * _PKT                     # bytes/s entering hop 0
-        for l, (fidx, hidx) in enumerate(members):
-            h_prev = np.maximum(hidx - 1, 0)
-            pos_prev = (step - lag_hop[fidx, h_prev]) % K
-            upstream = dep_hist[:, fidx, h_prev, pos_prev]
-            inflow = np.where(hidx == 0, inflow0[:, fidx], upstream)
-            q_mem = q[:, fidx, hidx]
+        for l, (_, cols, hops, upstream) in enumerate(links):
+            q_mem = q[hops]
+            if upstream is None:
+                inflow = inflow0
+            else:
+                first, fidx, h_row, lag_prev, f_row_l = upstream
+                pos = ((step - lag_prev) % K)[None, :]
+                inflow = np.where(first, inflow0[:, fidx],
+                                  dep_hist[pos, h_row, s_col, f_row_l])
             arr = inflow * dt
             if drop_down[l] and caps_now[l] == 0.0:
                 # Blackout with a drop policy: arriving fluid is
                 # discarded (queued bytes stay for after the outage).
                 drop_bytes[:, l] += _flow_sum(arr)
-                loss_hist[:, fidx, pos_now] |= arr > 1e-9
-                drop_hist[:, fidx, pos_now] += arr / _PKT
+                loss_now[cols] |= arr > 1e-9
+                drop_now[cols] += arr / _PKT
                 arr = np.zeros_like(arr)
             avail = q_mem + arr
             tot = _flow_sum(avail)
@@ -795,12 +961,11 @@ def simulate_fluid(config: NetworkConfig,
                 rem = np.maximum(avail - out_mem, 0.0)
                 n_act = np.maximum((q_mem > 0).sum(axis=1), 1)
                 sojourn = q_mem * (n_act[:, None] * inv_now[l])
-                above = codel_above_q[:, fidx, hidx]
                 above = np.where(sojourn > _CODEL_TARGET,
-                                 above + dt, 0.0)
-                codel_above_q[:, fidx, hidx] = above
-                loss_hist[:, fidx, pos_now] |= \
-                    (above >= _CODEL_INTERVAL) & (avail > 0.0)
+                                 codel_above_q[hops] + dt, 0.0)
+                codel_above_q[hops] = above
+                loss_now[cols] |= (above >= _CODEL_INTERVAL) \
+                    & (avail > 0.0)
                 # Latency: at arrival, a bucket's bytes wait out their
                 # own backlog at the fair-share rate.
                 n_arr = np.maximum((avail > 0.0).sum(axis=1), 1)
@@ -823,16 +988,15 @@ def simulate_fluid(config: NetworkConfig,
                     dropped = arr * dropr[:, None]
                     acc = arr - dropped
                     drop_bytes[:, l] += over
-                    loss_hist[:, fidx, pos_now] |= dropped > 1e-9
-                    drop_hist[:, fidx, pos_now] += dropped / _PKT
+                    loss_now[cols] |= dropped > 1e-9
+                    drop_now[cols] += dropped / _PKT
                 if is_codel:
                     sojourn = qlink[:, l] * inv_now[l]
                     codel_above[:, l] = np.where(
                         sojourn > _CODEL_TARGET,
                         codel_above[:, l] + dt, 0.0)
                     fire = codel_above[:, l] >= _CODEL_INTERVAL
-                    loss_hist[:, fidx, pos_now] |= fire[:, None] \
-                        & (avail > 0.0)
+                    loss_now[cols] |= fire[:, None] & (avail > 0.0)
                 # Exact FIFO service: append accepted arrivals to the
                 # per-flow curves, then hand each flow the slice of its
                 # own curve between the previous and the new aggregate
@@ -842,28 +1006,31 @@ def simulate_fluid(config: NetworkConfig,
                 # burst queued ahead really does starve the flows
                 # behind it, exactly as the event-driven FIFO does.
                 cumAf = cum_arr_f[l]
-                cumAf[:, :, step + 1] = cumAf[:, :, step] + acc
-                cum_arr[:, l, step + 1] = cum_arr[:, l, step] \
-                    + _flow_sum(acc)
-                q_hi = cum_dep[:, l, step] + out_tot
-                cum_dep[:, l, step + 1] = q_hi
+                cumAf[:, step + 1] = cumAf[:, step] + acc
+                arr_l = cum_arr[l]
+                arr_l[:, step + 1] = arr_l[:, step] + _flow_sum(acc)
+                arr_flat = arr_l.reshape(-1)
+                dep_l = cum_dep[l]
+                q_hi = dep_l[:, step] + out_tot
+                dep_l[:, step + 1] = q_hi
                 ti = tau_hi[:, l]
                 while True:
                     nxt = np.minimum(ti + 1, step + 1)
                     adv = (ti <= step) \
-                        & (cum_arr[s_idx, l, nxt] <= q_hi + 1e-9)
+                        & (arr_flat[curve_row + nxt] <= q_hi + 1e-9)
                     if not adv.any():
                         break
                     ti = ti + adv
                 tau_hi[:, l] = ti
-                tlo = np.minimum(ti, step + 1)
-                thi = np.minimum(ti + 1, step + 1)
-                lo = cum_arr[s_idx, l, tlo]
-                hi = cum_arr[s_idx, l, thi]
+                tlo = curve_row + np.minimum(ti, step + 1)
+                thi = curve_row + np.minimum(ti + 1, step + 1)
+                lo = arr_flat[tlo]
+                hi = arr_flat[thi]
                 frac = np.divide(q_hi - lo, hi - lo, where=hi > lo,
                                  out=np.zeros(S))
-                v_lo = cumAf[s_idx, :, tlo]
-                v_hi = cumAf[s_idx, :, thi]
+                rows = cumAf.reshape(-1, cumAf.shape[2])
+                v_lo = rows[tlo]
+                v_hi = rows[thi]
                 v = v_lo + frac[:, None] * (v_hi - v_lo)
                 out_mem = np.maximum(v - prev_v[l], 0.0)
                 prev_v[l] = v
@@ -873,61 +1040,62 @@ def simulate_fluid(config: NetworkConfig,
                     # while the standing queue exceeds K is CE-marked
                     # — the Alizadeh model's step indicator.
                     over_k = _flow_sum(rem) > ecn_thresh_bytes
-                    mark_hist[:, fidx, pos_now] |= over_k[:, None]
+                    mark_now[cols] |= over_k[:, None]
                 # Latency: invert the arrival curve at the step's
                 # median departing byte — its wait is the time since
                 # that byte arrived.  Weighted by departures, so bytes
                 # still queued at run end are never counted, exactly
                 # like the packet engine's delivered-packet mean.
-                query = cum_dep[:, l, step] + 0.5 * out_tot
+                query = dep_l[:, step] + 0.5 * out_tot
                 tj = tau_idx[:, l]
                 while True:
                     nxt = np.minimum(tj + 1, step + 1)
                     adv = (tj <= step) \
-                        & (cum_arr[s_idx, l, nxt] <= query + 1e-9)
+                        & (arr_flat[curve_row + nxt] <= query + 1e-9)
                     if not adv.any():
                         break
                     tj = tj + adv
                 tau_idx[:, l] = tj
-                lo = cum_arr[s_idx, l, np.minimum(tj, step + 1)]
-                hi = cum_arr[s_idx, l, np.minimum(tj + 1, step + 1)]
+                lo = arr_flat[curve_row + np.minimum(tj, step + 1)]
+                hi = arr_flat[curve_row + np.minimum(tj + 1, step + 1)]
                 frac = np.divide(query - lo, hi - lo, where=hi > lo,
                                  out=np.zeros(S))
                 wait = np.maximum(
                     (step + 0.5 - tj - frac) * dt, 0.0)[:, None]
                 wpk = out_mem / _PKT
-            q[:, fidx, hidx] = rem
-            dep_hist[:, fidx, hidx, pos_now] = out_mem / dt
+            q[hops] = rem
+            dep_now[hops] = out_mem / dt
             link_out_bytes[:, l] += _flow_sum(out_mem)
-            wait_sum[:, fidx, hidx] += wpk * wait
-            wt_pkts[:, fidx, hidx] += wpk
+            wait_sum[hops] += wpk * wait
+            wt_pkts[hops] += wpk
 
     # ------------------------------------------------------------------
-    # Collect per-seed results.
+    # Collect per-lane results.
     results: List[RunResult] = []
     util = link_out_bytes / (caps_Bps[None, :] * duration_s)
     qd_hops = np.divide(wait_sum, wt_pkts, where=wt_pkts > 0.0,
                         out=np.zeros_like(wait_sum))
-    qd_flow = qd_hops.sum(axis=2)       # unused hops contribute zero
-    for si, seed in enumerate(seeds):
-        flows: List[FlowStats] = []
-        for f, kind in enumerate(config.sender_kinds):
-            delivered = int(round(delivered_bytes[si, f]))
-            mean_delay = float(base_ow[f] + qd_flow[si, f]) \
-                if delivered > 0 else 0.0
-            flows.append(FlowStats(
-                flow_id=f, kind=kind,
-                delivered_bytes=delivered,
-                on_time_s=float(on_time[si, f]),
-                mean_delay_s=mean_delay,
-                base_delay_s=float(base_ow[f]),
-                base_rtt_s=float(base_rtt[f]),
-                packets_delivered=int(round(delivered / _PKT)),
-                packets_sent=int(round(sent_pkts[si, f])),
-                retransmissions=0, timeouts=0,
-                delta=config.deltas[f]))
+    qd_flow = qd_hops.sum(axis=0)       # unused hops contribute zero
+    # Roundings vectorized (np.round, like round(), ties to even).
+    delivered = np.round(delivered_bytes).astype(np.int64)
+    delivered_pkts = np.round(delivered / _PKT).astype(np.int64)
+    sent = np.round(sent_pkts).astype(np.int64)
+    mean_delay = np.where(delivered > 0, base_ow[None, :] + qd_flow, 0.0)
+    for si, lane in enumerate(lanes):
+        flows = [FlowStats(
+            flow_id=f, kind=kind, delivered_bytes=got, on_time_s=on_s,
+            mean_delay_s=delay, base_delay_s=base_oneway[f],
+            base_rtt_s=base_rtt_l[f], packets_delivered=got_pkts,
+            packets_sent=sent_f, retransmissions=0, timeouts=0,
+            delta=lane.deltas[f])
+            for f, (kind, got, on_s, delay, got_pkts, sent_f)
+            in enumerate(zip(lane.sender_kinds, delivered[si].tolist(),
+                             on_time[si].tolist(),
+                             mean_delay[si].tolist(),
+                             delivered_pkts[si].tolist(),
+                             sent[si].tolist()))]
         results.append(RunResult(
-            flows=flows, seed=seed, duration_s=duration_s,
+            flows=flows, seed=lane.seed, duration_s=duration_s,
             bottleneck_drops=int(round(drop_bytes[si].sum() / _PKT)),
             bottleneck_utilization=float(util[si].max()),
             metadata={"backend": "fluid", "dt": dt}))
@@ -935,8 +1103,8 @@ def simulate_fluid(config: NetworkConfig,
 
 
 def _flow_sum(a: np.ndarray) -> np.ndarray:
-    """Sum a ``(seeds, flows)`` array over flows, one contiguous row per
-    seed, so the rounding never depends on how many seeds are batched."""
+    """Sum a ``(lanes, flows)`` array over flows, one contiguous row per
+    lane, so the rounding never depends on how many lanes are batched."""
     return np.ascontiguousarray(a).sum(axis=1)
 
 
@@ -955,7 +1123,10 @@ def _waterfill(avail: np.ndarray, cap_dt: float) -> np.ndarray:
             break
         fair = np.divide(remaining, n_act, where=n_act > 0,
                          out=np.zeros_like(remaining))
-        take = np.minimum(todo, fair[:, None]) * active
+        # Lanes already served take nothing more: a lane that would
+        # have stopped here on its own must not keep sharing out a
+        # rounding residue because another lane is still live.
+        take = np.minimum(todo, fair[:, None]) * (active & live[:, None])
         out += take
         todo -= take
         remaining = remaining - _flow_sum(take)

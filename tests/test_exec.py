@@ -19,6 +19,8 @@ from repro.exec import (Executor, SerialExecutor, SimTask,
                         SupervisedExecutor, TaskFailedError, cache_key,
                         executor_for, pack_chunks, run_batch,
                         run_sim_task, task_cost)
+from repro.exec.executors import chunk_tasks
+from repro.exec.task import FLUID_UNIT_CELLS, fluid_shape, group_tasks
 from repro.remy.action import Action
 from repro.remy.evaluator import EvalSettings, TreeEvaluator
 from repro.remy.optimizer import OptimizerSettings, RemyOptimizer
@@ -234,6 +236,39 @@ class TestChunkPacking:
             trees={"learner": TREE}, seed=1, duration_s=2.0)
         assert task_cost(fast) == 10 * task_cost(slow)
 
+    def test_fluid_task_cost_grows_with_senders(self):
+        """A fluid task's step cost has a per-flow part: 1000 senders
+        must outweigh 100 of the same shape."""
+        def fluid(senders):
+            return SimTask.build(
+                NetworkConfig(link_speeds_mbps=(100.0,), rtt_ms=60.0,
+                              sender_kinds=("newreno",) * senders),
+                seed=1, duration_s=0.5, backend="fluid")
+
+        assert task_cost(fluid(1000)) > task_cost(fluid(100)) \
+            > task_cost(fluid(10))
+
+    def test_packet_only_layout_unchanged(self):
+        """Packet tasks are one unit each, so unit packing must give
+        exactly the task-by-task layout: pinned on a heterogeneous
+        batch (rates 1-1000 Mbps, durations 0.5-10 s)."""
+        speeds = (1.0, 100.0, 10.0, 50.0, 2.0, 1000.0, 5.0, 20.0, 10.0,
+                  3.0, 200.0, 1.0)
+        durations = (4.0, 1.0, 2.0, 3.0, 10.0, 0.5, 2.0, 2.0, 6.0, 1.0,
+                     1.5, 8.0)
+        tasks = [SimTask.build(
+                     NetworkConfig(link_speeds_mbps=(speed,), rtt_ms=50.0,
+                                   sender_kinds=("cubic", "newreno")),
+                     seed=k, duration_s=duration)
+                 for k, (speed, duration)
+                 in enumerate(zip(speeds, durations))]
+        assert chunk_tasks(tasks, 2) == [
+            [5], [10], [3], [1], [8], [7], [0, 2, 11], [4, 6, 9]]
+        assert chunk_tasks(tasks, 1) == [
+            [5], [10], [3, 6, 7, 11], [0, 1, 2, 4, 8, 9]]
+        assert chunk_tasks(tasks, 3, chunk_size=5) == [
+            [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10, 11]]
+
     def test_pool_cost_packing_preserves_determinism(self):
         """Heterogeneous durations exercise the cost-packed dispatch
         path; results must still match serial bitwise, in task order."""
@@ -245,6 +280,60 @@ class TestChunkPacking:
             pooled = pool.run_batch(tasks)
         assert flows_key(serial) == flows_key(pooled)
         assert [out.run.seed for out in pooled] == [1, 2, 3, 4, 5]
+
+
+def _fluid_sweep(senders, schemes=("newreno", "cubic", "dctcp", "vegas"),
+                 seeds=(1, 2), rtts=(60.0, 120.0)):
+    """A sweep_fluid-shaped batch, interleaved with packet tasks."""
+    tasks = []
+    for rtt in rtts:
+        for scheme in schemes:
+            for seed in seeds:
+                config = NetworkConfig(
+                    link_speeds_mbps=(100.0,), rtt_ms=rtt,
+                    sender_kinds=(scheme,) * senders)
+                tasks.append(SimTask.build(config, seed=seed,
+                                           duration_s=0.5,
+                                           backend="fluid"))
+                tasks.append(SimTask.build(CONFIG, trees={"learner": TREE},
+                                           seed=seed, duration_s=1.0))
+    return tasks
+
+
+class TestFluidUnits:
+    @pytest.mark.parametrize("senders", [100, 1000])
+    def test_unit_cap_holds(self, senders):
+        """A unit of N-sender lanes holds at most max(1, 1024 // N)
+        lanes, all of one shape."""
+        tasks = _fluid_sweep(senders, seeds=(1, 2, 3))
+        cap = max(1, FLUID_UNIT_CELLS // senders)
+        fluid_units = [unit for unit in group_tasks(tasks)
+                       if tasks[unit[0]].backend == "fluid"]
+        assert sorted(i for unit in fluid_units for i in unit) == [
+            i for i, task in enumerate(tasks) if task.backend == "fluid"]
+        assert all(len(unit) <= cap for unit in fluid_units)
+        assert all(len({fluid_shape(tasks[i]) for i in unit}) == 1
+                   for unit in fluid_units)
+        # Cross-scheme lanes: a full unit mixes schemes of one shape.
+        assert max(len(unit) for unit in fluid_units) == min(cap, 12)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    @pytest.mark.parametrize("chunk_size", [None, 1, 3])
+    def test_chunk_tasks_never_splits_a_unit(self, jobs, chunk_size):
+        tasks = _fluid_sweep(100) + _fluid_sweep(10, rtts=(80.0,))
+        chunks = chunk_tasks(tasks, jobs, chunk_size)
+        assert sorted(i for chunk in chunks for i in chunk) \
+            == list(range(len(tasks)))
+        home = {i: c for c, chunk in enumerate(chunks) for i in chunk}
+        for unit in group_tasks(tasks):
+            assert len({home[i] for i in unit}) == 1, unit
+
+    def test_pooled_lane_units_match_serial(self):
+        tasks = _fluid_sweep(20, seeds=(1,), rtts=(60.0,))
+        serial = [run_sim_task(task) for task in tasks]
+        with SupervisedExecutor(jobs=2) as pool:
+            pooled = pool.run_batch(tasks)
+        assert flows_key(serial) == flows_key(pooled)
 
 
 class TestRunIter:

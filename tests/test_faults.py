@@ -412,6 +412,27 @@ class TestStoreUnderChaos:
             == flows_key([serial[poison]])
 
 
+class TestUnitIsolation:
+    def test_raising_fluid_lane_spares_its_unit_mate(self, monkeypatch):
+        """Two fluid seeds of one cell travel as one lane unit; when
+        one raises, the other must still come back ok — bitwise equal
+        to its serial run — instead of sharing the failure."""
+        config = NetworkConfig(link_speeds_mbps=(10.0,), rtt_ms=100.0,
+                               sender_kinds=("newreno",) * 4)
+        tasks = [SimTask.build(config, seed=seed, duration_s=1.0,
+                               backend="fluid") for seed in (1, 2)]
+        install(monkeypatch, FaultPlan(raise_keys=(cache_key(tasks[0]),)))
+        policy = RetryPolicy(max_retries=0, on_failure="quarantine")
+        with SupervisedExecutor(jobs=1, chunk_size=2,
+                                policy=policy) as sup:
+            results = sup.run_batch(tasks)
+        assert results[0].failure is not None
+        assert results[0].failure.kind == "exception"
+        assert results[1].ok
+        serial = SerialExecutor().run_batch(tasks[1:])
+        assert flows_key(results[1:]) == flows_key(serial)
+
+
 class TestGoldenUnderChaos:
     def test_digests_unchanged_under_transient_chaos(self, monkeypatch):
         """The acceptance criterion: under an injected fault schedule,

@@ -13,23 +13,27 @@ Three contracts, each load-bearing for a different consumer:
   bottleneck capacity, across queue disciplines.
 * **Screen-then-confirm** — when training screens candidates on the
   fluid backend, the batch argmax must still be a genuine packet-engine
-  score, and seed-batched fluid runs must be bitwise identical to solo
-  runs (the executor determinism contract extended to grouping).
+  score, and lane-batched fluid runs (any mix of seeds, schemes and
+  rule tables over one network shape) must be bitwise identical to
+  solo runs (the executor determinism contract extended to grouping).
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from test_golden_traces import SCENARIOS
 
 from repro.core.scenario import NetworkConfig
 from repro.exec import SimTask, run_sim_task, run_task_group
+from repro.exec.task import group_tasks
 from repro.remy.action import Action
 from repro.remy.evaluator import TreeEvaluator
 from repro.remy.optimizer import OptimizerSettings, RemyOptimizer
 from repro.remy.tree import WhiskerTree
-from repro.sim.fluid import simulate_fluid
+from repro.sim.dynamics import DynamicsSpec, LinkSchedule
+from repro.sim.fluid import FluidLane, _waterfill, simulate_fluid
 
 from test_evaluator_optimizer import RANGE, TINY
 
@@ -193,6 +197,153 @@ class TestSeedBatching:
                     run.bottleneck_drops, run.bottleneck_utilization)
 
         assert [key(run) for run in batch] == [key(run) for run in solo]
+
+
+class TestUsageRefusal:
+    def test_record_usage_refused_at_build(self):
+        """The fluid model has no per-whisker usage instrumentation, so
+        a usage-recording fluid task is refused up front, reason named,
+        instead of silently returning empty usage lists."""
+        tree = WhiskerTree(default_action=Action(0.8, 4.0, 0.002))
+        with pytest.raises(ValueError, match="usage recording"):
+            SimTask.build(_dumbbell(10.0, ("learner", "cubic")),
+                          trees={"learner": tree}, seed=1,
+                          duration_s=1.0, record_usage=True,
+                          backend="fluid")
+
+
+def _split_tree():
+    """A rule table whose leaves act differently, so lane results
+    depend on which tree (and which leaf) each lookup lands in."""
+    tree = WhiskerTree(default_action=Action(1.0, 1.0, 0.004))
+    hot = (0.01, 0.01, 0.01, 1.0)
+    for _ in range(2):
+        tree.split(tree.lookup(hot))
+    for i in range(len(tree)):
+        tree.set_action(i, Action(0.6 + 0.05 * (i % 8), 1.0 + i % 3,
+                                  0.001 * (1 + i % 4)))
+    return tree
+
+
+_TREE_A = WhiskerTree(default_action=Action(0.8, 4.0, 0.002))
+_TREE_B = _split_tree()
+
+#: Lane invariance scenarios: every queue discipline, ECN marking,
+#: link dynamics, and the parking lot (whose links keep index-array
+#: indexers instead of slices).
+LANE_SHAPES = {
+    "droptail": _dumbbell(10.0, ("newreno",) * 4),
+    "codel": _dumbbell(10.0, ("newreno",) * 4, queue="codel"),
+    "sfq_codel": _dumbbell(10.0, ("newreno",) * 4, buffer_bdp=2.0,
+                           queue="sfq_codel"),
+    "droptail_ecn": dataclasses.replace(
+        _dumbbell(10.0, ("newreno",) * 4), rtt_ms=50.0,
+        ecn_threshold=20.0),
+    "dynamics": dataclasses.replace(
+        _dumbbell(10.0, ("newreno",) * 4),
+        dynamics=DynamicsSpec(links=(LinkSchedule(
+            rate_steps=((0.4, 4.0), (1.0, 20.0)),
+            outages=((0.6, 0.8),), outage_policy="drop"),))),
+    "parking_lot": NetworkConfig(
+        topology="parking_lot", link_speeds_mbps=(10.0, 20.0),
+        rtt_ms=80.0, sender_kinds=("newreno",) * 3),
+}
+
+
+def _mixed_lanes(n):
+    """Lanes mixing every portable scheme, two different trees, and
+    several seeds over an ``n``-sender shape."""
+    mixes = [("newreno", "cubic", "dctcp", "vegas"),
+             ("learner", "peer", "cubic", "learner"),
+             ("vegas", "vegas", "vegas", "vegas"),
+             ("peer", "dctcp", "newreno", "aimd"),
+             ("learner",) * 4]
+    lanes = []
+    for k, mix in enumerate(mixes):
+        kinds = tuple(mix[i % len(mix)] for i in range(n))
+        trees = ({"learner": _TREE_A, "peer": _TREE_B} if k % 2
+                 else {"learner": _TREE_B, "peer": _TREE_A})
+        deltas = tuple(1.0 + 0.5 * (i % 2) for i in range(n))
+        for seed in (1 + k, 11 + k):
+            lanes.append(FluidLane(kinds, deltas, trees, seed))
+    return lanes
+
+
+def _run_key(run):
+    return ([dataclasses.astuple(flow) for flow in run.flows], run.seed,
+            run.bottleneck_drops, run.bottleneck_utilization,
+            run.metadata)
+
+
+class TestLanes:
+    @pytest.mark.parametrize("name", sorted(LANE_SHAPES))
+    def test_each_lane_matches_its_solo_run_bitwise(self, name):
+        """Cross-scheme lanes in one call: each lane's result must be
+        bitwise what it gets alone, however the lanes are grouped."""
+        config = LANE_SHAPES[name]
+        lanes = _mixed_lanes(config.num_senders)
+        batch = simulate_fluid(config, lanes=lanes, duration_s=1.5)
+        halves = (simulate_fluid(config, lanes=lanes[1::2],
+                                 duration_s=1.5)
+                  + simulate_fluid(config, lanes=lanes[::2],
+                                   duration_s=1.5))
+        solo = [simulate_fluid(config, lanes=[lane],
+                               duration_s=1.5)[0] for lane in lanes]
+        assert [_run_key(run) for run in batch] \
+            == [_run_key(run) for run in solo]
+        regrouped = lanes[1::2] + lanes[::2]
+        assert [_run_key(run) for run in halves] \
+            == [_run_key(solo[lanes.index(lane)]) for lane in regrouped]
+        assert [f.kind for f in batch[1].flows] \
+            == list(lanes[1].sender_kinds)
+
+    def test_waterfill_stops_each_lane_on_its_own(self):
+        """sfq service: a lane whose capacity is spent (bar a rounding
+        residue) must stop sharing it out even while another lane of
+        the batch is still being served."""
+        cap_dt = 2.0 + 5e-13
+        both = _waterfill(np.array([[1.0, 3.0], [0.5, 5.0]]), cap_dt)
+        alone = _waterfill(np.array([[1.0, 3.0]]), cap_dt)
+        assert both[0].tolist() == alone[0].tolist()
+
+    def test_seed_lanes_equal_seeds_argument(self):
+        """``seeds=`` is sugar for one lane per seed."""
+        config = _dumbbell(10.0, ("learner", "cubic"))
+        by_seeds = simulate_fluid(config, trees={"learner": _TREE_A},
+                                  seeds=(1, 2), duration_s=1.0)
+        by_lanes = simulate_fluid(
+            config, duration_s=1.0,
+            lanes=[FluidLane(config.sender_kinds, config.deltas,
+                             {"learner": _TREE_A}, seed)
+                   for seed in (1, 2)])
+        assert [_run_key(r) for r in by_seeds] \
+            == [_run_key(r) for r in by_lanes]
+
+    def test_mismatched_lane_rejected(self):
+        config = _dumbbell(10.0, ("newreno", "cubic"))
+        with pytest.raises(ValueError, match="senders"):
+            simulate_fluid(config, duration_s=1.0, lanes=[
+                FluidLane(("cubic",), (1.0,), {}, 1)])
+        with pytest.raises(ValueError, match="packet-only"):
+            simulate_fluid(config, duration_s=1.0, lanes=[
+                FluidLane(("pcc", "cubic"), (1.0, 1.0), {}, 1)])
+
+    def test_run_task_group_forms_cross_scheme_units(self):
+        """Tasks of one shape but different schemes and trees share a
+        unit; its results equal the solo runs bitwise."""
+        tasks = []
+        for kinds, trees in ((("newreno", "cubic"), {}),
+                             (("learner", "vegas"), {"learner": _TREE_A}),
+                             (("learner", "dctcp"), {"learner": _TREE_B})):
+            for seed in (1, 2):
+                tasks.append(SimTask.build(
+                    _dumbbell(10.0, kinds), trees=trees, seed=seed,
+                    duration_s=1.0, backend="fluid"))
+        assert group_tasks(tasks) == [list(range(len(tasks)))]
+        grouped = run_task_group(tasks)
+        solo = [run_sim_task(task) for task in tasks]
+        assert [_run_key(r.run) for r in grouped] \
+            == [_run_key(r.run) for r in solo]
 
 
 class TestScreenThenConfirm:

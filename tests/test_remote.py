@@ -407,6 +407,29 @@ class TestSharedFailureContract:
             == flows_key([via_tcp[i] for i in rest])
 
 
+    def test_raising_fluid_lane_spares_its_unit_mate(self):
+        """A remote worker isolates a raising lane from its unit-mates
+        exactly like a local one (both run units through the same
+        helper)."""
+        config = NetworkConfig(link_speeds_mbps=(10.0,), rtt_ms=100.0,
+                               sender_kinds=("newreno",) * 4)
+        tasks = [SimTask.build(config, seed=seed, duration_s=1.0,
+                               backend="fluid") for seed in (1, 2)]
+        plan = FaultPlan(raise_keys=(cache_key(tasks[0]),))
+        policy = dataclasses.replace(FAST, max_retries=0,
+                                     on_failure="quarantine")
+        srv = chaos_server(plan)
+        try:
+            with remote(srv, policy=policy, chunk_size=2) as executor:
+                results = executor.run_batch(tasks)
+        finally:
+            srv.stop()
+        assert results[0].failure is not None
+        assert results[1].ok
+        assert flows_key(results[1:]) \
+            == flows_key(SerialExecutor().run_batch(tasks[1:]))
+
+
 # ----------------------------------------------------------------------
 # Real daemons in subprocesses: death, partition-then-resume.
 
